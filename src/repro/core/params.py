@@ -35,6 +35,17 @@ class SimPushParams:
     delta: float
     walks_cap: int | None = None  # optional cap on the MC walk count
 
+    def __post_init__(self) -> None:
+        if not 0.0 < self.c < 1.0:
+            raise ValueError(f"decay factor c={self.c} is not in (0, 1)")
+        if not self.eps > 0.0:
+            raise ValueError(f"error bound eps={self.eps} is not > 0")
+        if not 0.0 < self.delta < 1.0:
+            raise ValueError(f"failure probability delta={self.delta} "
+                             "is not in (0, 1)")
+        if self.walks_cap is not None and self.walks_cap < 1:
+            raise ValueError(f"walks_cap={self.walks_cap} is not >= 1")
+
     @property
     def sqrt_c(self) -> float:
         return math.sqrt(self.c)

@@ -11,9 +11,10 @@ DataFrame ``(src, dst)``:
 * ``hitting_df``       — Alg. 3's per-level aggregation inside ``G_u``;
 * ``reverse_push_df``  — Alg. 5's thresholded push along out-edges.
 
-Alg. 4 (gamma recurrences over the |A| x |A| attention table, O(1/eps^3)
-scalar work) is shared verbatim with the local engine and runs on the
-driver after collecting that small table (DESIGN.md §2).
+``simpush_df`` runs these through the shared Alg.-1 driver (``core.alg1``),
+which also runs Alg. 4 (gamma recurrences over the |A| x |A| attention
+table, O(1/eps^3) scalar work) on the driver after collecting that small
+table (DESIGN.md §2), exactly as for the local engine.
 
 Each loop iteration ends in ``localCheckpoint`` so lineage stays flat
 across the L <= L* = O(log 1/eps) levels.
@@ -27,7 +28,7 @@ import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
-from repro.core import last_meeting
+from repro.core import alg1
 from repro.core.params import SimPushParams
 from repro.core.source_push import AttentionSet
 
@@ -43,8 +44,11 @@ class GraphFrames:
 
     @classmethod
     def build(cls, edges: DataFrame) -> "GraphFrames":
-        edges = edges.select(F.col("src").cast("long"),
-                             F.col("dst").cast("long")).cache()
+        """Self-loops and duplicate edges are dropped, as in
+        ``csr.from_edges`` (SimRank's definition assumes a simple graph)."""
+        edges = (edges.select(F.col("src").cast("long"),
+                              F.col("dst").cast("long"))
+                 .where(F.col("src") != F.col("dst")).distinct().cache())
         in_deg = (edges.groupBy(F.col("dst").alias("node"))
                   .agg(F.count("*").alias("d_in")).cache())
         edges_d = (edges.join(in_deg.withColumnRenamed("node", "dst"), "dst")
@@ -154,12 +158,12 @@ def source_push_df(spark: SparkSession, gf: GraphFrames, u: int,
 
 def hitting_df(spark: SparkSession, gf: GraphFrames, gu_edges: DataFrame,
                attention_pdf: pd.DataFrame, L: int, sqrt_c: float
-               ) -> pd.DataFrame:
+               ) -> np.ndarray:
     """Alg. 3 over the ``G_u`` edge DataFrame. State rows are
-    ``(node, tlevel, tnode, val)`` = ``h~^(lvl_of(node) - tlevel... )`` —
-    the hitting probability from ``node`` (at the current loop level) to
-    attention target ``(tlevel, tnode)``. Returns the collected
-    attention-to-attention rows ``(slevel, snode, tlevel, tnode, val)``.
+    ``(node, tlevel, tnode, val)``: the hitting probability from ``node``
+    (at the current loop level) to attention target ``(tlevel, tnode)``.
+    Returns the ``|A| x |A|`` matrix ``hAA`` whose rows and columns follow
+    ``attention_pdf``'s row order (as ``hitting.attention_hitting_matrix``).
     """
     targets = attention_pdf[attention_pdf["level"] >= 2]
     out_parts: list[pd.DataFrame] = []
@@ -201,11 +205,16 @@ def hitting_df(spark: SparkSession, gf: GraphFrames, gu_edges: DataFrame,
             .agg(F.sum("val").alias("val"))
             .localCheckpoint(eager=True)
         )
-    if not out_parts:
-        return pd.DataFrame(columns=["slevel", "node", "tlevel", "tnode", "val"])
-    out = pd.concat(out_parts, ignore_index=True)
-    return out.rename(columns={"node": "snode"})[
-        ["slevel", "snode", "tlevel", "tnode", "val"]]
+    hAA = np.zeros((len(attention_pdf), len(attention_pdf)))
+    if out_parts:
+        rows = pd.concat(out_parts, ignore_index=True)
+        index = pd.MultiIndex.from_frame(attention_pdf[["level", "node"]])
+        src = index.get_indexer(pd.MultiIndex.from_frame(
+            rows[["slevel", "node"]]))
+        tgt = index.get_indexer(pd.MultiIndex.from_frame(
+            rows[["tlevel", "tnode"]]))
+        hAA[src, tgt] = rows["val"].to_numpy()
+    return hAA
 
 
 def reverse_push_df(spark: SparkSession, gf: GraphFrames,
@@ -263,41 +272,29 @@ def simpush_df(spark: SparkSession, edges: DataFrame, u: int, *,
     own_gf = gf is None
     if own_gf:
         gf = GraphFrames.build(edges)
-    try:
-        if L_override is not None:
-            L = min(L_override, params.L_star)
-        else:
-            L = detect_L_df(spark, gf, u, params, seed=seed)
-        h_levels, gu_edges, attention = source_push_df(
+
+    def push(L: int) -> tuple[tuple[DataFrame, pd.DataFrame], AttentionSet]:
+        _, gu_edges, attention = source_push_df(
             spark, gf, u, params.eps_h, L, sc)
         att_pdf = attention.toPandas().sort_values(
             ["level", "node"]).reset_index(drop=True)
-        L = int(att_pdf["level"].max()) if len(att_pdf) else 0
-        if len(att_pdf) == 0:
-            return spark.createDataFrame(
-                pd.DataFrame({"v": [int(u)], "s": [1.0]}))
-        haa_rows = hitting_df(spark, gf, gu_edges, att_pdf, L, sc)
         att = AttentionSet(levels=att_pdf["level"].to_numpy(np.int64),
                            nodes=att_pdf["node"].to_numpy(np.int64),
                            h=att_pdf["h"].to_numpy(np.float64))
-        hAA = _haa_matrix(att, haa_rows)
-        gamma = last_meeting.gammas(hAA, att, L)
-        residues = pd.DataFrame({"level": att.levels, "node": att.nodes,
-                                 "r": att.h * gamma})
-        return reverse_push_df(spark, gf, residues, u, params.eps_h, sc, L)
+        return (gu_edges, att_pdf), att
+
+    try:
+        return alg1.run_alg1(
+            params, u, None, L_override,
+            lambda: detect_L_df(spark, gf, u, params, seed=seed),
+            push,
+            lambda gu, att, L: hitting_df(spark, gf, *gu, L, sc),
+            lambda att, gamma, L: reverse_push_df(
+                spark, gf, pd.DataFrame({"level": att.levels,
+                                         "node": att.nodes,
+                                         "r": att.h * gamma}),
+                u, params.eps_h, sc, L),
+        ).scores
     finally:
         if own_gf:
             gf.unpersist()
-
-
-def _haa_matrix(att: AttentionSet, rows: pd.DataFrame) -> np.ndarray:
-    """Assemble the |A| x |A| hitting matrix from collected Alg.-3 rows."""
-    index = {(int(l), int(n)): i
-             for i, (l, n) in enumerate(zip(att.levels, att.nodes))}
-    hAA = np.zeros((att.size, att.size))
-    for r in rows.itertuples(index=False):
-        a = index.get((int(r.slevel), int(r.snode)))
-        b = index.get((int(r.tlevel), int(r.tnode)))
-        if a is not None and b is not None:
-            hAA[a, b] = r.val
-    return hAA

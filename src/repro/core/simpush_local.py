@@ -1,17 +1,17 @@
-"""SimPush driver (Alg. 1) over the numpy-CSR engine, with stage timings.
+"""SimPush (Alg. 1) over the numpy-CSR engine, with stage timings.
 
-This is the timing-fidelity engine used by the benchmark harness; the
-distributed DataFrame engine in ``core.simpush`` runs the identical
-algorithm (same modules for Alg. 4) and is tested to agree with this one.
+This is the timing-fidelity engine used by the benchmark harness. It runs
+the shared driver ``core.alg1`` with the numpy stages; the distributed
+DataFrame engine in ``core.simpush`` runs the same driver with Spark stages
+and is tested to agree with this one.
 """
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core import hitting, last_meeting, reverse_push, source_push, walks
+from repro.core import alg1, hitting, reverse_push, source_push, walks
 from repro.core.params import SimPushParams
 from repro.graphs.csr import CSRGraph
 
@@ -49,37 +49,21 @@ def simpush_local(g: CSRGraph, u: int, *, c: float = 0.6, eps: float = 0.1,
     """
     params = SimPushParams(c=c, eps=eps, delta=delta, walks_cap=walks_cap)
     sc = params.sqrt_c
-
-    t0 = time.perf_counter()
-    if L_override is not None:
-        L = min(L_override, params.L_star)
-    else:
-        L, _ = walks.detect_L(g, u, params, seed=seed)
-    t_mc = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    gu, att = source_push.source_push(g, u, params.eps_h, L, sc)
-    t_sp = time.perf_counter() - t0
-
-    if att.size == 0:
-        s = np.zeros(g.n)
-        s[u] = 1.0
-        return SimPushResult(scores=s, L=gu.L, n_attention=0,
-                             gu_nodes=gu.n_nodes, gu_edges=gu.n_edges,
-                             t_mc=t_mc, t_source_push=t_sp)
-
-    t0 = time.perf_counter()
-    hAA = hitting.attention_hitting_matrix(g, gu, att, sc)
-    gamma = last_meeting.gammas(hAA, att, gu.L)
-    t_gamma = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    residues = reverse_push.seed_residues(g.n, att, gamma, gu.L)
-    s = reverse_push.reverse_push(g, residues, u, params.eps_h, sc)
-    t_rp = time.perf_counter() - t0
-
-    extra = hAA.nbytes + gamma.nbytes + sum(r.nbytes for r in residues.values())
-    return SimPushResult(scores=s, L=gu.L, n_attention=att.size,
+    run = alg1.run_alg1(
+        params, u, g.n, L_override,
+        lambda: walks.detect_L(g, u, params, seed=seed)[0],
+        lambda L: source_push.source_push(g, u, params.eps_h, L, sc),
+        lambda gu, att, L: hitting.attention_hitting_matrix(
+            g, gu.upto(L), att, sc),
+        lambda att, gamma, L: reverse_push.reverse_push(
+            g, reverse_push.seed_residues(g.n, att, gamma, L), u,
+            params.eps_h, sc))
+    gu = run.gu
+    # Reverse-Push holds one dense residue vector per level 1..L.
+    extra = run.hAA.nbytes + run.gamma.nbytes + run.L * run.scores.nbytes
+    return SimPushResult(scores=run.scores, L=gu.L, n_attention=run.att.size,
                          gu_nodes=gu.n_nodes, gu_edges=gu.n_edges,
-                         t_mc=t_mc, t_source_push=t_sp, t_gamma=t_gamma,
-                         t_reverse_push=t_rp, peak_extra_bytes=extra)
+                         t_mc=run.t_mc, t_source_push=run.t_source_push,
+                         t_gamma=run.t_gamma,
+                         t_reverse_push=run.t_reverse_push,
+                         peak_extra_bytes=extra)

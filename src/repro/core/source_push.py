@@ -40,6 +40,11 @@ class SourceGraph:
         """``h^(level)(u, node)`` for each node (must exist at the level)."""
         return self.h[level][self.pos(level, nodes)]
 
+    def upto(self, L: int) -> "SourceGraph":
+        """Levels ``0..L`` of this graph (``L <= self.L``), sharing arrays."""
+        return SourceGraph(L=L, level_nodes=self.level_nodes[:L + 1],
+                           h=self.h[:L + 1], edges=self.edges[:L])
+
     @property
     def n_nodes(self) -> int:
         return int(sum(a.size for a in self.level_nodes))

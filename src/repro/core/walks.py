@@ -45,5 +45,6 @@ def detect_L(g: CSRGraph, u: int, params: SimPushParams, seed: int = 0
         done += b
     level_max = counts.max(axis=1)
     qualifying = np.flatnonzero(level_max >= params.visit_threshold)
+    # counts has rows 0..L* only, so L never exceeds L*.
     L = int(qualifying.max()) if qualifying.size else 0
-    return min(L, params.L_star), counts
+    return L, counts

@@ -103,8 +103,7 @@ def test_hitting_df_matches_local(spark):
     """Alg. 3 on the DataFrame engine produces the same attention-to-
     attention hitting matrix as the local engine."""
     import pandas as pd
-    from repro.core.simpush import (GraphFrames, _haa_matrix, hitting_df,
-                                    source_push_df)
+    from repro.core.simpush import GraphFrames, hitting_df, source_push_df
     from repro.graphs import generators
     from repro.graphs.csr import from_edges
     src, dst = generators.social(150, 4, seed=21)
@@ -121,8 +120,7 @@ def test_hitting_df_matches_local(spark):
             spark, gf, u, eps_h, L, SQRT_C)
         att_pdf = attention.toPandas().sort_values(
             ["level", "node"]).reset_index(drop=True)
-        rows = hitting_df(spark, gf, gu_edges, att_pdf, gu.L, SQRT_C)
+        got = hitting_df(spark, gf, gu_edges, att_pdf, gu.L, SQRT_C)
     finally:
         gf.unpersist()
-    got = _haa_matrix(att, rows)
     np.testing.assert_allclose(got, ref, atol=1e-12)

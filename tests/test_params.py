@@ -84,3 +84,15 @@ def test_monotone_in_eps(data):
     assert p_lo.L_star >= p_hi.L_star
     assert p_lo.max_attention >= p_hi.max_attention
     assert p_lo.n_walks_formula >= p_hi.n_walks_formula
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"c": 0.0}, {"c": 1.0}, {"c": -0.5}, {"c": 1.5},
+    {"eps": 0.0}, {"eps": -0.1},
+    {"delta": 0.0}, {"delta": 1.0},
+    {"walks_cap": 0}, {"walks_cap": -5},
+])
+def test_invalid_params_rejected(kwargs):
+    args = {"c": 0.6, "eps": 0.1, "delta": 1e-4, **kwargs}
+    with pytest.raises(ValueError):
+        SimPushParams(**args)

@@ -4,6 +4,7 @@ local/DataFrame engine agreement."""
 import numpy as np
 import pytest
 
+from repro.core import hitting, last_meeting, reverse_push, source_push
 from repro.core.params import SimPushParams
 from repro.core.simpush import simpush_df
 from repro.core.simpush_local import simpush_local
@@ -123,7 +124,61 @@ def test_walks_cap_still_within_bound():
     assert (s[5] - res.scores).max() <= 0.1 + 1e-12
 
 
+@pytest.mark.parametrize("u", [-1, 200, 10_000])
+def test_query_node_out_of_range_rejected(u):
+    g = helpers.graph("social")
+    with pytest.raises(ValueError):
+        simpush_local(g, u, eps=0.1, seed=0)
+
+
+def test_trim_to_deepest_attention_level_is_exact():
+    """Algs. 3-5 on G_u cut at the deepest attention level give exactly
+    what they give on the whole G_u (the driver's trim)."""
+    trimmed = 0
+    for name in helpers.GRAPHS:
+        g = helpers.graph(name)
+        for eps in (0.2, 0.05):
+            p = SimPushParams(c=0.6, eps=eps, delta=1e-4)
+            for u in (0, 3, g.n - 1):
+                gu, att = source_push.source_push(g, u, p.eps_h, p.L_star,
+                                                  p.sqrt_c)
+                L = int(att.levels.max(initial=0))
+                trimmed += gu.L > L
+                outs = []
+                for depth, graph in ((gu.L, gu), (L, gu.upto(L))):
+                    hAA = hitting.attention_hitting_matrix(g, graph, att,
+                                                           p.sqrt_c)
+                    gamma = last_meeting.gammas(hAA, att, depth)
+                    residues = reverse_push.seed_residues(g.n, att, gamma,
+                                                          depth)
+                    s = reverse_push.reverse_push(g, residues, u, p.eps_h,
+                                                  p.sqrt_c)
+                    outs.append((hAA, gamma, s))
+                for full, cut in zip(*outs):
+                    np.testing.assert_array_equal(full, cut)
+    assert trimmed  # some fixture queries reach below their attention
+
+
 # --------------------------------------------------------------- DataFrame
+
+
+def test_df_engine_matches_local_on_non_simple_graph(spark):
+    """Duplicate edges and self-loops are dropped by both engines."""
+    src = np.array([3, 3, 4, 3, 4, 1])
+    dst = np.array([1, 1, 1, 2, 2, 1])
+    g = from_edges(src, dst, n=5)
+    local = simpush_local(g, 1, eps=0.05, L_override=5)
+    pdf = simpush_df(spark, generators.to_spark(spark, src, dst), 1,
+                     eps=0.05, L_override=5).toPandas()
+    dense = np.zeros(g.n)
+    dense[pdf["v"].to_numpy()] = pdf["s"].to_numpy()
+    np.testing.assert_allclose(dense, local.scores, atol=1e-9)
+
+
+def test_df_engine_rejects_negative_query_node(spark):
+    edges = generators.to_spark(spark, np.array([1]), np.array([0]))
+    with pytest.raises(ValueError):
+        simpush_df(spark, edges, -1, eps=0.1, L_override=3)
 
 
 @pytest.mark.parametrize("u,eps", [(4, 0.1), (40, 0.05)])
