@@ -36,24 +36,8 @@ def pair_meeting_probability(g: CSRGraph, u: int, vs: np.ndarray, *,
         k = chunk.shape[0] * n_samples
         cur1 = np.full(k, u, dtype=np.int64)
         cur2 = np.repeat(chunk, n_samples)
-        met = cur1 == cur2  # v == u: SimRank 1 by definition
-        alive = ~met
-        for _ in range(_MAX_STEPS):
-            idx = np.flatnonzero(alive)
-            if idx.size == 0:
-                break
-            keep = rng.random(idx.size) < c
-            idx = idx[keep]
-            alive[:] = False
-            ok = (g.in_deg[cur1[idx]] > 0) & (g.in_deg[cur2[idx]] > 0)
-            idx = idx[ok]
-            if idx.size == 0:
-                break
-            cur1[idx] = g.random_in_neighbor(cur1[idx], rng)
-            cur2[idx] = g.random_in_neighbor(cur2[idx], rng)
-            hit = cur1[idx] == cur2[idx]
-            met[idx[hit]] = True
-            alive[idx[~hit]] = True
+        # A pair with v == u starts met: SimRank 1 by definition.
+        met = g.coupled_meetings(cur1, cur2, cur1 != cur2, c, _MAX_STEPS, rng)
         out[lo:lo + per] = met.reshape(chunk.shape[0], n_samples).mean(axis=1)
     return out
 

@@ -33,32 +33,10 @@ def estimate_eta(g: CSRGraph, *, c: float = 0.6, n_samples: int = 600,
                  max_steps: int = 48, seed: int = 0) -> np.ndarray:
     """``eta(w)`` = P[two sqrt(c)-walks from w never meet again], estimated
     for every node at once with ``n_samples`` coupled pairs per node."""
-    rng = np.random.default_rng(seed)
-    never = np.zeros(g.n)
-    nodes = np.arange(g.n, dtype=np.int64)
-    cur1 = np.repeat(nodes, n_samples)
-    cur2 = cur1.copy()
-    met = np.zeros(cur1.shape[0], dtype=bool)
-    alive = np.ones(cur1.shape[0], dtype=bool)
-    for _ in range(max_steps):
-        idx = np.flatnonzero(alive)
-        if idx.size == 0:
-            break
-        keep = rng.random(idx.size) < c
-        idx = idx[keep]
-        alive[:] = False
-        ok = g.in_deg[cur1[idx]] > 0
-        ok &= g.in_deg[cur2[idx]] > 0
-        idx = idx[ok]
-        if idx.size == 0:
-            break
-        cur1[idx] = g.random_in_neighbor(cur1[idx], rng)
-        cur2[idx] = g.random_in_neighbor(cur2[idx], rng)
-        hit = cur1[idx] == cur2[idx]
-        met[idx[hit]] = True
-        alive[idx[~hit]] = True
-    never = (~met).reshape(g.n, n_samples).mean(axis=1)
-    return never
+    cur1 = np.repeat(np.arange(g.n, dtype=np.int64), n_samples)
+    met = g.coupled_meetings(cur1, cur1.copy(), np.ones(cur1.size, dtype=bool),
+                             c, max_steps, np.random.default_rng(seed))
+    return (~met).reshape(g.n, n_samples).mean(axis=1)
 
 
 @dataclass
@@ -133,20 +111,11 @@ def query(g: CSRGraph, idx: PRSimIndex, u: int, *, c: float = 0.6,
     time and that SimPush's attention-restriction avoids.
     """
     sc = math.sqrt(c)
-    rng = np.random.default_rng(seed)
     if eps_a is None:
         eps_a = idx.theta / (1.0 - sc) * 2.0  # invert build-time formula
     R = max(1, math.ceil(math.log(max(g.n, 2) / delta) / (2.0 * eps_a ** 2)))
     # Empirical visit counts at each level.
-    counts = np.zeros((idx.Lmax + 1, g.n), dtype=np.int64)
-    cur = np.full(R, u, dtype=np.int64)
-    for step in range(1, idx.Lmax + 1):
-        cur = cur[rng.random(cur.size) < sc]
-        cur = cur[g.in_deg[cur] > 0]
-        if cur.size == 0:
-            break
-        cur = g.random_in_neighbor(cur, rng)
-        counts[step] += np.bincount(cur, minlength=g.n)
+    counts = g.level_visits(u, R, sc, idx.Lmax, np.random.default_rng(seed))
     scores = np.zeros(g.n)
     hub_mask = np.zeros(g.n, dtype=bool)
     hub_mask[idx.hubs] = True

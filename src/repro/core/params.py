@@ -57,9 +57,10 @@ class SimPushParams:
 
     @property
     def L_star(self) -> int:
-        """Deepest level an attention node can occupy (Lemma 2)."""
-        return int(math.floor(math.log(1.0 / self.eps_h)
-                              / math.log(1.0 / self.sqrt_c)))
+        """Deepest level an attention node can occupy (Lemma 2); 0 when
+        ``eps_h >= 1``, where no level below ``u`` holds one."""
+        return max(0, int(math.floor(math.log(1.0 / self.eps_h)
+                                     / math.log(1.0 / self.sqrt_c))))
 
     @property
     def max_attention(self) -> int:

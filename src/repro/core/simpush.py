@@ -49,14 +49,13 @@ class GraphFrames:
         edges = (edges.select(F.col("src").cast("long"),
                               F.col("dst").cast("long"))
                  .where(F.col("src") != F.col("dst")).distinct().cache())
-        in_deg = (edges.groupBy(F.col("dst").alias("node"))
-                  .agg(F.count("*").alias("d_in")).cache())
-        edges_d = (edges.join(in_deg.withColumnRenamed("node", "dst"), "dst")
-                   .select("src", "dst", F.col("d_in").alias("d_in_dst"))
-                   .cache())
         in_adj = (edges.groupBy(F.col("dst").alias("node"))
                   .agg(F.collect_list("src").alias("nbrs"),
                        F.count("*").alias("d_in")).cache())
+        in_deg = in_adj.select("node", "d_in").cache()
+        edges_d = (edges.join(in_deg.withColumnRenamed("node", "dst"), "dst")
+                   .select("src", "dst", F.col("d_in").alias("d_in_dst"))
+                   .cache())
         return cls(edges=edges, in_deg=in_deg, edges_d=edges_d, in_adj=in_adj)
 
     def unpersist(self) -> None:

@@ -30,7 +30,6 @@ class SimPushResult:
     t_source_push: float = 0.0
     t_gamma: float = 0.0
     t_reverse_push: float = 0.0
-    peak_extra_bytes: int = 0
 
     @property
     def t_total(self) -> float:
@@ -59,11 +58,8 @@ def simpush_local(g: CSRGraph, u: int, *, c: float = 0.6, eps: float = 0.1,
             g, reverse_push.seed_residues(g.n, att, gamma, L), u,
             params.eps_h, sc))
     gu = run.gu
-    # Reverse-Push holds one dense residue vector per level 1..L.
-    extra = run.hAA.nbytes + run.gamma.nbytes + run.L * run.scores.nbytes
     return SimPushResult(scores=run.scores, L=gu.L, n_attention=run.att.size,
                          gu_nodes=gu.n_nodes, gu_edges=gu.n_edges,
                          t_mc=run.t_mc, t_source_push=run.t_source_push,
                          t_gamma=run.t_gamma,
-                         t_reverse_push=run.t_reverse_push,
-                         peak_extra_bytes=extra)
+                         t_reverse_push=run.t_reverse_push)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.graphs.csr import CSRGraph, _ragged_offsets
+from repro.graphs.csr import CSRGraph
 
 
 @dataclass
@@ -86,16 +86,13 @@ def source_push(g: CSRGraph, u: int, eps_h: float, L: int, sqrt_c: float
     h_levels = [np.array([1.0])]
     edges: list[tuple[np.ndarray, np.ndarray]] = []
     for _ in range(L):
-        frontier = level_nodes[-1]
-        active = frontier[g.in_deg[frontier] > 0]
-        if active.size == 0:
+        children, parents = g.in_edges(level_nodes[-1])
+        if children.size == 0:
             break
-        counts = g.in_deg[active]
-        starts = g.in_ptr[active]
-        children = g.in_idx[np.repeat(starts, counts) + _ragged_offsets(counts)]
-        parents = np.repeat(active, counts)
         edges.append((children, parents))
-        h_next = g.push_to_in_neighbors(h, sqrt_c)
+        # One Source-Push level over the edges just gathered.
+        h_next = np.bincount(children, minlength=g.n,
+                             weights=sqrt_c * h[parents] / g.in_deg[parents])
         nodes = np.flatnonzero(h_next)
         level_nodes.append(nodes)
         h_levels.append(h_next[nodes])

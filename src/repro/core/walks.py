@@ -12,8 +12,6 @@ import numpy as np
 from repro.core.params import SimPushParams
 from repro.graphs.csr import CSRGraph
 
-_BATCH = 200_000  # walk batch size: bounds the position-matrix footprint
-
 
 def detect_L(g: CSRGraph, u: int, params: SimPushParams, seed: int = 0
              ) -> tuple[int, np.ndarray]:
@@ -25,24 +23,8 @@ def detect_L(g: CSRGraph, u: int, params: SimPushParams, seed: int = 0
     level qualifies and the query's answer is just ``s(u,u)=1`` plus the
     error floor.
     """
-    rng = np.random.default_rng(seed)
-    max_steps = params.L_star
-    n_walks = params.n_walks
-    counts = np.zeros((max_steps + 1, g.n), dtype=np.int64)
-    done = 0
-    while done < n_walks:
-        b = min(_BATCH, n_walks - done)
-        # Shrinking-frontier simulation: only still-walking walkers are
-        # touched each step (expected total work ~ b * sqrt(c)/(1-sqrt(c))).
-        cur = np.full(b, u, dtype=np.int64)
-        for step in range(1, max_steps + 1):
-            cur = cur[rng.random(cur.size) < params.sqrt_c]
-            cur = cur[g.in_deg[cur] > 0]
-            if cur.size == 0:
-                break
-            cur = g.random_in_neighbor(cur, rng)
-            counts[step] += np.bincount(cur, minlength=g.n)
-        done += b
+    counts = g.level_visits(u, params.n_walks, params.sqrt_c, params.L_star,
+                            np.random.default_rng(seed))
     level_max = counts.max(axis=1)
     qualifying = np.flatnonzero(level_max >= params.visit_threshold)
     # counts has rows 0..L* only, so L never exceeds L*.

@@ -1,24 +1,33 @@
-"""CSR adjacency over numpy, with the push/walk primitives SimPush needs.
+"""CSR adjacency over numpy, with the one copy of each graph traversal that
+SimPush and its competitors share.
 
 Edge convention throughout the repo: an edge ``(src, dst)`` is the directed
 edge ``src -> dst``; the in-neighbours of ``v`` are ``{src : (src, v) in E}``.
 SimRank's :math:`\\sqrt{c}`-walks follow **in-edges** (Definition 2 of the
-paper), so the two core primitives are:
+paper). The primitives and their callers:
 
-* :meth:`CSRGraph.push_to_in_neighbors` — one level of Source-Push (Alg. 2):
-  mass at ``v`` is split as ``sqrt(c) * h(v) / d_I(v)`` over each in-neighbour.
-* :meth:`CSRGraph.push_to_out_neighbors` — one level of Reverse-Push
-  (Alg. 5) / a ProbeSim probe step: mass at ``v'`` contributes
-  ``sqrt(c) * r(v') / d_I(v)`` to each out-neighbour ``v``.
-
-Both are exact linear operators (no sampling); sampling lives in
-:meth:`CSRGraph.random_in_neighbor` used by the batched walk generator.
+* ``in_edges`` — a frontier's in-edges: Source-Push's ``G_u`` levels. It
+  and the two exact push operators share the one ragged gather, ``_gather``.
+* ``push_to_in_neighbors`` / ``push_to_out_neighbors`` — one level of
+  ``sqrt(c) * h(v) / d_I(v)`` over in-edges / ``sqrt(c) * r(v') / d_I(v)``
+  over out-edges: Reverse-Push (Alg. 5), ProbeSim's probes, PRSim's reverse
+  vectors, TopSim.
+* ``level_visits`` — per-level visit counts of sqrt(c)-walks from one node:
+  MC level detection (``walks.detect_L``, Alg. 2 lines 1–8) and PRSim's
+  sampled ``h^(l)(u, .)``.
+* ``coupled_meetings`` — coupled walk pairs run until they meet: the MC
+  ground truth (``pair_meeting_probability``) and PRSim's/SLING's ``eta``.
+* ``sqrt_c_walks`` — walks that keep every position: ProbeSim, READS and
+  ``single_source_mc``. Kept apart from ``level_visits``: detect_L built
+  on it ran 13–16 % slower.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
 import numpy as np
+
+_WALK_BATCH = 200_000  # walkers simulated at once by level_visits
 
 
 @dataclass(frozen=True)
@@ -61,6 +70,11 @@ class CSRGraph:
 
     # ---------------------------------------------------------------- pushes
 
+    def in_edges(self, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Every in-edge ``src -> dst`` of each ``dst`` in ``nodes``, as
+        ``(src, dst)`` arrays grouped by ``dst`` in ``nodes`` order."""
+        return _gather(self.in_ptr, self.in_idx, self.in_deg, nodes)
+
     def push_to_in_neighbors(self, h: np.ndarray, sqrt_c: float) -> np.ndarray:
         """One Source-Push level: ``h'(v') = sum_{v: v' in I(v)} sqrt_c*h(v)/d_I(v)``.
 
@@ -69,18 +83,8 @@ class CSRGraph:
         in-neighbours simply absorb their mass (the walk stops), matching the
         paper's walk semantics.
         """
-        active = np.flatnonzero(h)
-        active = active[self.in_deg[active] > 0]
-        if active.size == 0:
-            return np.zeros(self.n)
-        per_nbr = sqrt_c * h[active] / self.in_deg[active]
-        counts = self.in_deg[active]
-        # Gather every in-edge of every active node in one shot.
-        starts = self.in_ptr[active]
-        offsets = _ragged_offsets(counts)
-        srcs = self.in_idx[np.repeat(starts, counts) + offsets]
-        contrib = np.repeat(per_nbr, counts)
-        return np.bincount(srcs, weights=contrib, minlength=self.n)
+        srcs, dsts = self.in_edges(np.flatnonzero(h))
+        return _sum_by(srcs, sqrt_c * h[dsts] / self.in_deg[dsts], self.n)
 
     def push_to_out_neighbors(self, r: np.ndarray, sqrt_c: float,
                               active: np.ndarray | None = None) -> np.ndarray:
@@ -92,15 +96,8 @@ class CSRGraph:
         """
         if active is None:
             active = np.flatnonzero(r)
-        active = active[self.out_deg[active] > 0]
-        if active.size == 0:
-            return np.zeros(self.n)
-        counts = self.out_deg[active]
-        starts = self.out_ptr[active]
-        offsets = _ragged_offsets(counts)
-        dsts = self.out_idx[np.repeat(starts, counts) + offsets]
-        contrib = sqrt_c * np.repeat(r[active], counts) / self.in_deg[dsts]
-        return np.bincount(dsts, weights=contrib, minlength=self.n)
+        dsts, srcs = _gather(self.out_ptr, self.out_idx, self.out_deg, active)
+        return _sum_by(dsts, sqrt_c * r[srcs] / self.in_deg[dsts], self.n)
 
     # ----------------------------------------------------------------- walks
 
@@ -138,28 +135,92 @@ class CSRGraph:
             pos[idx, step] = cur[idx]
         return pos
 
+    def level_visits(self, u: int, n_walks: int, sqrt_c: float,
+                     max_steps: int, rng: np.random.Generator) -> np.ndarray:
+        """Visit counts of ``n_walks`` sqrt(c)-walks from ``u``: row ``l`` of
+        the ``(max_steps + 1, n)`` int64 result counts the walks at each
+        node after ``l`` steps (row 0 stays zero).
+
+        Only still-walking walkers are touched each step, so the expected
+        work is ~``n_walks * sqrt_c / (1 - sqrt_c)``; no positions are kept.
+        """
+        counts = np.zeros((max_steps + 1, self.n), dtype=np.int64)
+        for done in range(0, n_walks, _WALK_BATCH):
+            cur = np.full(min(_WALK_BATCH, n_walks - done), u, dtype=np.int64)
+            for step in range(1, max_steps + 1):
+                cur = cur[rng.random(cur.size) < sqrt_c]
+                cur = cur[self.in_deg[cur] > 0]
+                if cur.size == 0:
+                    break
+                cur = self.random_in_neighbor(cur, rng)
+                counts[step] += np.bincount(cur, minlength=self.n)
+        return counts
+
+    def coupled_meetings(self, cur1: np.ndarray, cur2: np.ndarray,
+                         alive: np.ndarray, c: float, max_steps: int,
+                         rng: np.random.Generator) -> np.ndarray:
+        """Coupled walk pairs from ``(cur1[i], cur2[i])`` where ``alive[i]``:
+        each step a pair goes on w.p. ``c``, both walks to a uniform random
+        in-neighbour, until they meet, either has no in-neighbour or
+        ``max_steps`` pass. Returns which pairs met; pairs not alive at the
+        start count as met. Advances ``cur1`` and ``cur2`` in place.
+        """
+        met = ~alive
+        idx = np.flatnonzero(alive)
+        for _ in range(max_steps):
+            if idx.size == 0:
+                break
+            idx = idx[rng.random(idx.size) < c]
+            idx = idx[(self.in_deg[cur1[idx]] > 0)
+                      & (self.in_deg[cur2[idx]] > 0)]
+            cur1[idx] = self.random_in_neighbor(cur1[idx], rng)
+            cur2[idx] = self.random_in_neighbor(cur2[idx], rng)
+            hit = cur1[idx] == cur2[idx]
+            met[idx[hit]] = True
+            idx = idx[~hit]
+        return met
+
+
+def _gather(ptr: np.ndarray, idx: np.ndarray, deg: np.ndarray,
+            nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The CSR lists of ``nodes`` concatenated, and the node owning each
+    entry: ``(idx[ptr[v]:ptr[v+1]] for v in nodes, v repeated deg[v] times)``."""
+    counts = deg[nodes]
+    return (idx[np.repeat(ptr[nodes], counts) + _ragged_offsets(counts)],
+            np.repeat(nodes, counts))
+
 
 def _ragged_offsets(counts: np.ndarray) -> np.ndarray:
     """``[0..c0-1, 0..c1-1, ...]`` — per-segment offsets for ragged gathers."""
-    total = int(counts.sum())
-    out = np.arange(total)
-    out -= np.repeat(np.concatenate(([0], np.cumsum(counts)[:-1])), counts)
+    out = np.arange(int(counts.sum()))
+    out -= np.repeat(np.cumsum(counts) - counts, counts)
     return out
+
+
+def _sum_by(idx: np.ndarray, weights: np.ndarray, n: int) -> np.ndarray:
+    """Dense float sums of ``weights`` by ``idx`` (bincount of none is int)."""
+    return np.bincount(idx, weights, n).astype(np.float64, copy=False)
 
 
 def from_edges(src: np.ndarray, dst: np.ndarray, n: int | None = None) -> CSRGraph:
     """Build a :class:`CSRGraph` from parallel edge arrays.
 
     Self-loops and duplicate edges are dropped (SimRank's definition assumes
-    a simple directed graph); node ids must be in ``[0, n)``.
+    a simple directed graph). Node ids must be in ``[0, n)``, else
+    ``ValueError``; ``n`` defaults to ``1 + max id``.
     """
     src = np.asarray(src, dtype=np.int64)
     dst = np.asarray(dst, dtype=np.int64)
+    lo = min(src.min(initial=0), dst.min(initial=0))
+    hi = max(src.max(initial=-1), dst.max(initial=-1))
+    if n is None:
+        n = int(hi + 1)
+    if lo < 0 or hi >= n:
+        raise ValueError(f"edge endpoint ids span [{lo}, {hi}], "
+                         f"not within [0, {n})")
     keep = src != dst
     src, dst = src[keep], dst[keep]
-    if n is None:
-        n = int(max(src.max(initial=-1), dst.max(initial=-1)) + 1)
-    # Dedupe via a combined key sort.
+    # Dedupe via a combined key sort (unique while ids are in [0, n)).
     key = src * n + dst
     key = np.unique(key)
     src, dst = key // n, key % n

@@ -38,6 +38,33 @@ def test_from_edges_matches_bruteforce(edges):
         assert g.in_deg[v] == len({a for a, b in simple if b == v})
 
 
+@pytest.mark.parametrize("src,dst,n", [
+    ([0], [5], 3), ([3], [0], 3), ([4], [4], 3), ([-1], [1], 3),
+    ([1, 2], [0, -2], None)])
+def test_from_edges_rejects_out_of_range_ids(src, dst, n):
+    """``0 -> 5`` with n=3 used to alias to the edge 1 -> 2 in the dedupe
+    key; a negative id used to fail inside bincount."""
+    with pytest.raises(ValueError, match="not within"):
+        from_edges(np.array(src), np.array(dst), n=n)
+
+
+@pytest.mark.parametrize("name", sorted(helpers.GRAPHS))
+def test_in_edges_matches_in_neighbors(name):
+    g = helpers.graph(name)
+    rng = np.random.default_rng(0)
+    sinks = np.flatnonzero(g.in_deg == 0)  # nodes with no in-neighbour
+    for nodes in (rng.permutation(g.n), rng.choice(g.n, 12), sinks[:1],
+                  np.concatenate((sinks[:1], [g.n - 1, 0])),
+                  np.array([], dtype=np.int64)):
+        src, dst = g.in_edges(nodes)
+        nbrs = [g.in_neighbors(v) for v in nodes]
+        np.testing.assert_array_equal(
+            src, np.concatenate([np.zeros(0, np.int64), *nbrs]))
+        np.testing.assert_array_equal(
+            dst, np.repeat(nodes, [a.size for a in nbrs]).astype(np.int64))
+        assert src.dtype == dst.dtype == np.int64
+
+
 def test_ragged_offsets():
     np.testing.assert_array_equal(
         _ragged_offsets(np.array([3, 1, 0, 2])), [0, 1, 2, 0, 0, 1])

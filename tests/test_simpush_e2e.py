@@ -124,6 +124,18 @@ def test_walks_cap_still_within_bound():
     assert (s[5] - res.scores).max() <= 0.1 + 1e-12
 
 
+@pytest.mark.parametrize("eps", [20.0, 50.0])
+@pytest.mark.parametrize("L_override", [None, 3])
+def test_huge_eps_returns_unit_vector(eps, L_override):
+    """At eps_h >= 1 no level below u can hold an attention node, so L* is
+    0 on the MC and the L_override path alike; e_u is within any eps >= 1
+    of SimRank, which lies in [0, 1]."""
+    g = helpers.graph("social")
+    res = simpush_local(g, 5, eps=eps, seed=0, L_override=L_override)
+    assert res.L == 0 and res.n_attention == 0
+    np.testing.assert_array_equal(res.scores, np.eye(g.n)[5])
+
+
 @pytest.mark.parametrize("u", [-1, 200, 10_000])
 def test_query_node_out_of_range_rejected(u):
     g = helpers.graph("social")
