@@ -20,6 +20,10 @@ import numpy as np
 
 from repro.core.source_push import AttentionSet
 
+# How far round-off may push a raw gamma outside [0, 1] before ``gammas``
+# treats it as an error instead of clipping it.
+GAMMA_TOL = 1e-9
+
 
 def first_meeting_matrix(hAA: np.ndarray, att: AttentionSet, L: int
                          ) -> np.ndarray:
@@ -43,9 +47,18 @@ def first_meeting_matrix(hAA: np.ndarray, att: AttentionSet, L: int
 def gammas(hAA: np.ndarray, att: AttentionSet, L: int) -> np.ndarray:
     """``gamma[a] = gamma^(la)(node_a)`` for every attention entry.
 
-    Numerical guard: the recurrences are exact in infinite precision and
-    each gamma is a probability; values are clipped to [0, 1] to absorb
-    float round-off on near-zero results.
+    Numerical guard: the rho events of one source are disjoint (the first
+    attention meeting), so each exact gamma lies in [0, 1]. A raw value
+    within ``GAMMA_TOL`` of that range is float round-off and is clipped
+    into it; one further out raises ``FloatingPointError``.
     """
     rho = first_meeting_matrix(hAA, att, L)
-    return np.clip(1.0 - rho.sum(axis=1), 0.0, 1.0)
+    raw = 1.0 - rho.sum(axis=1)
+    bad = np.flatnonzero((raw < -GAMMA_TOL) | (raw > 1.0 + GAMMA_TOL))
+    if bad.size:
+        a = int(bad[0])
+        raise FloatingPointError(
+            f"gamma of attention entry (level {att.levels[a]}, node "
+            f"{att.nodes[a]}) is {raw[a]!r}, outside [0, 1] by more than "
+            f"{GAMMA_TOL}")
+    return np.clip(raw, 0.0, 1.0)

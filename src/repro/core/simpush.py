@@ -2,25 +2,40 @@
 "GraphX/DataFrame iterative push-based algorithm").
 
 Every O(m)-touching stage is an iterative Catalyst plan over the edge
-DataFrame ``(src, dst)``:
+DataFrame ``edges_d = (src, dst, d_in_dst)``:
 
 * ``detect_L_df``      — batched sqrt(c)-walkers advanced by seeded ``rand()``
                          joins against an in-adjacency-array DataFrame;
-* ``source_push_df``   — Alg. 2's level-wise residue push along in-edges
-                         (join on ``dst`` + groupBy-sum on ``src``);
+* ``source_push_df``   — Alg. 2's level-wise residue push along in-edges;
 * ``hitting_df``       — Alg. 3's per-level aggregation inside ``G_u``;
 * ``reverse_push_df``  — Alg. 5's thresholded push along out-edges.
+
+The last three run every level through one operator, ``_push``: join the
+state on the edge column ``frm``, sum ``sqrt(c) * x / d_in_dst`` per edge
+column ``to``. The weight's ``d_I`` is always the in-degree of the edge's
+``dst``, so one operator serves all three directions:
+
+* Source-Push pushes ``dst -> src`` over ``edges_d``;
+* Alg. 3 pushes ``src -> dst`` over one level of ``G_u`` (``d_I^T = d_I``
+  inside ``G_u``, note (ii) after Eq. 12);
+* Reverse-Push pushes ``src -> dst`` over ``edges_d``.
+
+``G_u`` is the edge table ``(src, dst, d_in_dst, clevel)``: the rows of
+``edges_d`` whose ``dst`` is in the level-``clevel - 1`` frontier, so
+``src`` is a level-``clevel`` child.
 
 ``simpush_df`` runs these through the shared Alg.-1 driver (``core.alg1``),
 which also runs Alg. 4 (gamma recurrences over the |A| x |A| attention
 table, O(1/eps^3) scalar work) on the driver after collecting that small
-table (DESIGN.md §2), exactly as for the local engine.
+table (DESIGN.md §2), exactly as for the local engine. Alg. 3 and
+Reverse-Push each send their input to Spark once; Alg. 3 collects once.
 
-Each loop iteration ends in ``localCheckpoint`` so lineage stays flat
+Each push level ends in ``localCheckpoint`` so lineage stays flat
 across the L <= L* = O(log 1/eps) levels.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,9 +68,9 @@ class GraphFrames:
                   .agg(F.collect_list("src").alias("nbrs"),
                        F.count("*").alias("d_in")).cache())
         in_deg = in_adj.select("node", "d_in").cache()
-        edges_d = (edges.join(in_deg.withColumnRenamed("node", "dst"), "dst")
-                   .select("src", "dst", F.col("d_in").alias("d_in_dst"))
-                   .cache())
+        edges_d = in_adj.select(F.explode("nbrs").alias("src"),
+                                F.col("node").alias("dst"),
+                                F.col("d_in").alias("d_in_dst")).cache()
         return cls(edges=edges, in_deg=in_deg, edges_d=edges_d, in_adj=in_adj)
 
     def unpersist(self) -> None:
@@ -96,6 +111,27 @@ def detect_L_df(spark: SparkSession, gf: GraphFrames, u: int,
     return L
 
 
+def _push(state: DataFrame, edges: DataFrame, frm: str, to: str,
+          sqrt_c: float, col: str, keys: tuple[str, ...] = ()) -> DataFrame:
+    """One push level, shared by Source-Push, Alg. 3 and Reverse-Push:
+    ``state`` rows ``(node, *keys, col)`` move along ``edges`` from column
+    ``frm`` to column ``to`` and are summed per ``(to, *keys)``, each
+    scaled by ``sqrt(c) / d_in_dst``. Returns ``(node, *keys, col)``."""
+    return (state.join(edges, state["node"] == edges[frm])
+            .groupBy(F.col(to).alias("node"), *keys)
+            .agg(F.sum(F.lit(sqrt_c) * F.col(col) / F.col("d_in_dst"))
+                 .alias(col))
+            .localCheckpoint(eager=True))
+
+
+def _union(parts: list[DataFrame], spark: SparkSession, schema: str
+           ) -> DataFrame:
+    """Union by column name; an empty ``schema`` frame when ``parts`` is."""
+    if not parts:
+        return spark.createDataFrame([], schema=schema)
+    return functools.reduce(DataFrame.unionByName, parts)
+
+
 def source_push_df(spark: SparkSession, gf: GraphFrames, u: int,
                    eps_h: float, L: int, sqrt_c: float
                    ) -> tuple[list[DataFrame], DataFrame, DataFrame]:
@@ -103,8 +139,9 @@ def source_push_df(spark: SparkSession, gf: GraphFrames, u: int,
 
     * ``h_levels[l]`` — DataFrame ``(node, h)`` of level-``l`` hitting
       probabilities from ``u`` (nonzero rows only);
-    * ``gu_edges``    — DataFrame ``(clevel, child, parent)``: ``G_u`` edges
-      from level-``clevel`` children down to level-``clevel - 1`` parents;
+    * ``gu_edges``    — DataFrame ``(src, dst, d_in_dst, clevel)``: the
+      ``G_u`` edges from level-``clevel`` children ``src`` to their
+      level-``clevel - 1`` parents ``dst``;
     * ``attention``   — DataFrame ``(level, node, h)`` with ``h >= eps_h``,
       levels 1..L.
     """
@@ -112,50 +149,28 @@ def source_push_df(spark: SparkSession, gf: GraphFrames, u: int,
     h_levels = [h]
     gu_parts: list[DataFrame] = []
     for lvl in range(L):
-        pushed = (
-            h.join(gf.edges_d, h["node"] == gf.edges_d["dst"])
-            .select(
-                F.col("src").alias("child"),
-                F.col("dst").alias("parent"),
-                (F.lit(sqrt_c) * F.col("h") / F.col("d_in_dst")).alias("contrib"),
-            )
-        )
-        h_next = (pushed.groupBy(F.col("child").alias("node"))
-                  .agg(F.sum("contrib").alias("h"))
-                  .localCheckpoint(eager=True))
+        h_next = _push(h, gf.edges_d, "dst", "src", sqrt_c, "h")
         if h_next.rdd.isEmpty():
             break
         gu_parts.append(
-            pushed.select("child", "parent").distinct()
+            gf.edges_d.join(h, gf.edges_d["dst"] == h["node"], "left_semi")
             .withColumn("clevel", F.lit(lvl + 1)))
         h_levels.append(h_next)
         h = h_next
-    if gu_parts:
-        gu_edges = gu_parts[0]
-        for p in gu_parts[1:]:
-            gu_edges = gu_edges.unionByName(p)
-        # The union stacks one shuffle's worth of partitions per level;
-        # coalesce before checkpointing so later per-level filters do not
-        # schedule hundreds of near-empty tasks.
-        gu_edges = gu_edges.coalesce(16).localCheckpoint(eager=True)
-    else:
-        gu_edges = spark.createDataFrame(
-            [], schema="child long, parent long, clevel long")
-    att_parts = [
-        h_levels[lvl].where(F.col("h") >= eps_h).withColumn("level", F.lit(lvl))
-        for lvl in range(1, len(h_levels))
-    ]
-    if att_parts:
-        attention = att_parts[0]
-        for p in att_parts[1:]:
-            attention = attention.unionByName(p)
-    else:
-        attention = spark.createDataFrame(
-            [], schema="node long, h double, level long")
+    # The union stacks one shuffle's worth of partitions per level;
+    # coalesce before checkpointing so later per-level filters do not
+    # schedule hundreds of near-empty tasks.
+    gu_edges = (_union(gu_parts, spark,
+                       "src long, dst long, d_in_dst long, clevel int")
+                .coalesce(16).localCheckpoint(eager=True))
+    attention = _union(
+        [h_levels[lvl].where(F.col("h") >= eps_h)
+         .withColumn("level", F.lit(lvl)) for lvl in range(1, len(h_levels))],
+        spark, "node long, h double, level int")
     return h_levels, gu_edges, attention.select("level", "node", "h")
 
 
-def hitting_df(spark: SparkSession, gf: GraphFrames, gu_edges: DataFrame,
+def hitting_df(spark: SparkSession, gu_edges: DataFrame,
                attention_pdf: pd.DataFrame, L: int, sqrt_c: float
                ) -> np.ndarray:
     """Alg. 3 over the ``G_u`` edge DataFrame. State rows are
@@ -164,49 +179,33 @@ def hitting_df(spark: SparkSession, gf: GraphFrames, gu_edges: DataFrame,
     Returns the ``|A| x |A|`` matrix ``hAA`` whose rows and columns follow
     ``attention_pdf``'s row order (as ``hitting.attention_hitting_matrix``).
     """
-    targets = attention_pdf[attention_pdf["level"] >= 2]
-    out_parts: list[pd.DataFrame] = []
-    cur: DataFrame | None = None
-    for lvl in range(L, 0, -1):
-        seeds_pdf = targets[targets["level"] == lvl]
-        if len(seeds_pdf):
-            seeds = spark.createDataFrame(pd.DataFrame({
-                "node": seeds_pdf["node"].to_numpy(),
-                "tlevel": seeds_pdf["level"].to_numpy(),
-                "tnode": seeds_pdf["node"].to_numpy(),
-                "val": np.ones(len(seeds_pdf)),
-            }))
-            cur = seeds if cur is None else cur.unionByName(seeds)
-        if cur is None:
-            continue
-        # Record h~ rows whose source is an attention entry at this level
-        # (targets strictly deeper — same-level rows are the trivial seeds).
-        src_here = attention_pdf[attention_pdf["level"] == lvl]
-        if len(src_here):
-            rows = (cur.where(F.col("node").isin(
-                        [int(x) for x in src_here["node"]])
-                        & (F.col("tlevel") > lvl))
-                    .toPandas())
-            if len(rows):
-                rows["slevel"] = lvl
-                out_parts.append(rows)
-        if lvl == 1:
-            break
-        # Push up one level along G_u edges (children at lvl -> parents).
-        step = gu_edges.where(F.col("clevel") == lvl)
-        cur = (
-            cur.join(step, cur["node"] == step["child"])
-            .join(gf.in_deg.withColumnRenamed("node", "parent"), "parent")
-            .select(
-                F.col("parent").alias("node"), "tlevel", "tnode",
-                (F.lit(sqrt_c) * F.col("val") / F.col("d_in")).alias("val"))
-            .groupBy("node", "tlevel", "tnode")
-            .agg(F.sum("val").alias("val"))
-            .localCheckpoint(eager=True)
-        )
     hAA = np.zeros((len(attention_pdf), len(attention_pdf)))
-    if out_parts:
-        rows = pd.concat(out_parts, ignore_index=True)
+    targets = attention_pdf[attention_pdf["level"] >= 2]
+    if targets.empty:
+        return hAA
+    seeds = spark.createDataFrame(pd.DataFrame({
+        "node": targets["node"].to_numpy(np.int64),
+        "tlevel": targets["level"].to_numpy(np.int64),
+        "tnode": targets["node"].to_numpy(np.int64),
+        "val": np.ones(len(targets)),
+    }))
+    recorded: list[DataFrame] = []
+    state = seeds.where(F.col("tlevel") == L)
+    for lvl in range(L - 1, 0, -1):
+        # Push up one level along G_u edges (children at lvl + 1 -> parents).
+        cur = _push(state, gu_edges.where(F.col("clevel") == lvl + 1),
+                    "src", "dst", sqrt_c, "val", keys=("tlevel", "tnode"))
+        # Record h~ rows whose source is an attention entry at this level
+        # (every pushed row targets a strictly deeper level).
+        src_here = attention_pdf.loc[attention_pdf["level"] == lvl, "node"]
+        if len(src_here):
+            recorded.append(
+                cur.where(F.col("node").isin(src_here.tolist()))
+                .withColumn("slevel", F.lit(lvl)))
+        state = cur.unionByName(seeds.where(F.col("tlevel") == lvl))
+    rows = _union(recorded, spark, "node long, tlevel long, tnode long, "
+                                   "val double, slevel int").toPandas()
+    if len(rows):
         index = pd.MultiIndex.from_frame(attention_pdf[["level", "node"]])
         src = index.get_indexer(pd.MultiIndex.from_frame(
             rows[["slevel", "node"]]))
@@ -222,41 +221,19 @@ def reverse_push_df(spark: SparkSession, gf: GraphFrames,
     """Alg. 5: thresholded residue push along out-edges, level L down to 1.
     ``residues_pdf`` holds the initial attention residues
     ``(level, node, r)``. Returns the estimate DataFrame ``(v, s)``."""
-    by_level: dict[int, DataFrame | None] = {lvl: None for lvl in range(1, L + 1)}
-    for lvl, grp in residues_pdf.groupby("level"):
-        by_level[int(lvl)] = spark.createDataFrame(
-            pd.DataFrame({"node": grp["node"].to_numpy(),
-                          "r": grp["r"].to_numpy()}))
-    s_parts: list[DataFrame] = []
+    residues = spark.createDataFrame(residues_pdf[["level", "node", "r"]],
+                                     schema="level long, node long, r double")
+    r: DataFrame | None = None
     for lvl in range(L, 0, -1):
-        r = by_level.get(lvl)
-        if r is None:
-            continue
-        active = r.where(F.lit(sqrt_c) * F.col("r") >= eps_h)
-        pushed = (
-            active.join(gf.edges_d, active["node"] == gf.edges_d["src"])
-            .select(F.col("dst").alias("node"),
-                    (F.lit(sqrt_c) * F.col("r") / F.col("d_in_dst"))
-                    .alias("contrib"))
-            .groupBy("node").agg(F.sum("contrib").alias("r"))
-            .localCheckpoint(eager=True)
-        )
-        if lvl > 1:
-            prev = by_level.get(lvl - 1)
-            merged = pushed if prev is None else (
-                prev.unionByName(pushed).groupBy("node")
-                .agg(F.sum("r").alias("r")).localCheckpoint(eager=True))
-            by_level[lvl - 1] = merged
-        else:
-            s_parts.append(pushed.withColumnRenamed("r", "s"))
-    if s_parts:
-        s = s_parts[0]
-    else:
-        s = spark.createDataFrame([], schema="node long, s double")
-    diag = spark.createDataFrame(
-        pd.DataFrame({"node": [int(u)], "s": [1.0]}))
-    return (s.where(F.col("node") != int(u)).unionByName(diag)
-            .select(F.col("node").alias("v"), "s"))
+        seeds = residues.where(F.col("level") == lvl).select("node", "r")
+        r = seeds if r is None else (
+            seeds.unionByName(r).groupBy("node").agg(F.sum("r").alias("r")))
+        r = _push(r.where(F.lit(sqrt_c) * F.col("r") >= eps_h),
+                  gf.edges_d, "src", "dst", sqrt_c, "r")
+    diag = spark.createDataFrame(pd.DataFrame({"node": [int(u)], "r": [1.0]}))
+    s = diag if r is None else (
+        r.where(F.col("node") != int(u)).unionByName(diag))
+    return s.select(F.col("node").alias("v"), F.col("r").alias("s"))
 
 
 def simpush_df(spark: SparkSession, edges: DataFrame, u: int, *,
@@ -287,7 +264,7 @@ def simpush_df(spark: SparkSession, edges: DataFrame, u: int, *,
             params, u, None, L_override,
             lambda: detect_L_df(spark, gf, u, params, seed=seed),
             push,
-            lambda gu, att, L: hitting_df(spark, gf, *gu, L, sc),
+            lambda gu, att, L: hitting_df(spark, *gu, L, sc),
             lambda att, gamma, L: reverse_push_df(
                 spark, gf, pd.DataFrame({"level": att.levels,
                                          "node": att.nodes,

@@ -120,7 +120,7 @@ def test_hitting_df_matches_local(spark):
             spark, gf, u, eps_h, L, SQRT_C)
         att_pdf = attention.toPandas().sort_values(
             ["level", "node"]).reset_index(drop=True)
-        got = hitting_df(spark, gf, gu_edges, att_pdf, gu.L, SQRT_C)
+        got = hitting_df(spark, gu_edges, att_pdf, gu.L, SQRT_C)
     finally:
         gf.unpersist()
     np.testing.assert_allclose(got, ref, atol=1e-12)

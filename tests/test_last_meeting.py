@@ -6,7 +6,7 @@ import pytest
 
 from repro.core.hitting import attention_hitting_matrix
 from repro.core.last_meeting import first_meeting_matrix, gammas
-from repro.core.source_push import source_push
+from repro.core.source_push import AttentionSet, source_push
 from tests import helpers
 
 SQRT_C = np.sqrt(0.6)
@@ -95,3 +95,16 @@ def test_star_graph_gamma_is_one():
     if att.size:
         hAA = attention_hitting_matrix(g, gu, att, SQRT_C)
         np.testing.assert_allclose(gammas(hAA, att, gu.L), 1.0)
+
+
+def test_gamma_outside_unit_interval_raises():
+    """A gamma past [0, 1] by more than round-off is an error, not a clip:
+    h~ = 1.5 between the two levels makes rho = 2.25 and gamma = -1.25."""
+    att = AttentionSet(levels=np.array([1, 2]), nodes=np.array([4, 7]),
+                       h=np.array([0.5, 0.3]))
+    hAA = np.array([[0.0, 1.5], [0.0, 0.0]])
+    with pytest.raises(FloatingPointError, match="level 1, node 4"):
+        gammas(hAA, att, 2)
+    # Round-off within the tolerance is still clipped into [0, 1].
+    hAA[0, 1] = np.sqrt(1.0 + 1e-12)
+    np.testing.assert_array_equal(gammas(hAA, att, 2), [0.0, 1.0])

@@ -7,7 +7,7 @@ import pytest
 from pyspark.sql import functions as F
 
 from repro.core.params import SimPushParams
-from repro.core.simpush import GraphFrames, source_push_df
+from repro.core.simpush import GraphFrames, _push, source_push_df
 from repro.core.source_push import source_push
 from repro.graphs import generators
 from repro.oracle import assert_equivalent
@@ -145,6 +145,12 @@ def test_df_matches_local(spark):
         n_local = sum(len(np.unique(c * g.n + p))
                       for c, p in gu.edges)
         assert len(ge) == n_local
+        got = set(zip(ge["clevel"], ge["src"], ge["dst"]))
+        expect = {(lvl, c_, p_) for lvl, (c, p) in enumerate(gu.edges, 1)
+                  for c_, p_ in zip(c.tolist(), p.tolist())}
+        assert got == expect
+        np.testing.assert_array_equal(ge["d_in_dst"].to_numpy(),
+                                      g.in_deg[ge["dst"].to_numpy()])
     finally:
         gf.unpersist()
 
@@ -170,5 +176,49 @@ def test_single_push_level_oracle(spark):
         GROUP BY e.src
         """
         assert_equivalent(pushed, sql, edges=edges, h=h)
+    finally:
+        gf.unpersist()
+
+
+@pytest.mark.parametrize("frm,to,keys", [
+    ("dst", "src", ()),                    # Source-Push over edges_d
+    ("src", "dst", ()),                    # Reverse-Push over edges_d
+    ("src", "dst", ("tlevel", "tnode")),   # Alg. 3 over one G_u level
+])
+def test_push_operator_oracle(spark, frm, to, keys):
+    """The engine's one push operator, ``_push``, in each of its uses vs
+    DuckDB SQL that derives d_I(dst) from the deduplicated raw edges."""
+    src, dst = generators.powerlaw(100, 4, seed=1)
+    edges = generators.to_spark(spark, src, dst)
+    gf = GraphFrames.build(edges)
+    try:
+        if keys:
+            _, gu_edges, _ = source_push_df(spark, gf, 3, 0.01, 3, SQRT_C)
+            step = gu_edges.where(F.col("clevel") == 2)
+            nodes = sorted(step.toPandas()["src"].unique().tolist())
+            assert nodes
+            k = len(nodes)
+            state = pd.DataFrame({"node": nodes * 2,
+                                  "tlevel": [3] * k + [2] * k,
+                                  "tnode": [50] * k + nodes,
+                                  "x": np.linspace(0.1, 1.0, 2 * k)})
+            table, tables = "(SELECT * FROM gu WHERE clevel = 2)", {
+                "gu": gu_edges}
+        else:
+            step = gf.edges_d
+            state = pd.DataFrame({"node": [3, 5, 17],
+                                  "x": [1.0, 0.5, 0.25]})
+            table, tables = "e", {}
+        pushed = _push(spark.createDataFrame(state), step, frm, to, SQRT_C,
+                       "x", keys=keys)
+        cols = "".join(f", s.{k}" for k in keys)
+        sql = f"""
+        WITH e AS (SELECT DISTINCT src, dst FROM edges WHERE src <> dst),
+             d AS (SELECT dst, COUNT(*) AS deg FROM e GROUP BY dst)
+        SELECT g.{to} AS node{cols}, SUM({SQRT_C} * s.x / d.deg) AS x
+        FROM s JOIN {table} g ON s.node = g.{frm} JOIN d ON d.dst = g.dst
+        GROUP BY g.{to}{cols}
+        """
+        assert_equivalent(pushed, sql, edges=edges, s=state, **tables)
     finally:
         gf.unpersist()
