@@ -56,6 +56,8 @@ def run_alg1(params: SimPushParams, u: int, n: int | None,
     if u < 0 or (n is not None and u >= n):
         raise ValueError(f"query node {u} is not a node id"
                          + ("" if n is None else f" in [0, {n})"))
+    if L_override is not None and L_override < 0:
+        raise ValueError(f"L_override={L_override} is not >= 0")
     t0 = time.perf_counter()
     L = detect() if L_override is None else min(L_override, params.L_star)
     t1 = time.perf_counter()

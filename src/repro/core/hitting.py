@@ -7,57 +7,40 @@ levels (deep -> shallow) along ``G_u`` edges with weight
 ``sqrt(c)/d_I(parent)`` (Eq. 12; ``d_I^T = d_I`` because Source-Push
 expands every frontier node's full in-neighbourhood).
 
-The per-level state is a dense ``|level nodes| x |targets|`` matrix, where
-targets are the attention entries at levels 2..L (level-1 attention nodes
-are never *targets* of a first-meeting, only sources). The output is the
-``|A| x |A|`` matrix ``hAA[a, b] = h~^(lb-la)(node_a @ la -> node_b @ lb)``
-(zero unless ``lb > la``), which is exactly what Alg. 4 consumes.
+The state is a dense ``|level nodes| x |targets|`` matrix, one column per
+target: the attention entries at levels 2..L (level-1 attention nodes are
+never *targets* of a first-meeting, only sources). Each level, from ``L``
+up to 1, *records* its attention entries' rows into ``hAA``, then *seeds*
+1 at its own targets, then *pushes* one level up through ``csr.sum_by``.
+Recording before seeding leaves the columns of targets at this level or
+shallower zero, so only strictly deeper targets record a value. Alg. 4
+consumes the ``|A| x |A|`` result
+``hAA[a, b] = h~^(lb-la)(node_a @ la -> node_b @ lb)`` (zero unless
+``lb > la``).
 """
 from __future__ import annotations
 
 import numpy as np
 
 from repro.core.source_push import AttentionSet, SourceGraph
-from repro.graphs.csr import CSRGraph
+from repro.graphs.csr import CSRGraph, sum_by
 
 
 def attention_hitting_matrix(g: CSRGraph, gu: SourceGraph, att: AttentionSet,
                              sqrt_c: float) -> np.ndarray:
     """Dense ``|A| x |A|`` matrix of hitting probabilities in ``G_u``
     between attention entries (see module docstring)."""
-    n_att = att.size
-    hAA = np.zeros((n_att, n_att))
-    if n_att == 0 or gu.L < 2:
-        return hAA
-    # Targets: attention entries at levels >= 2.
-    t_idx = np.flatnonzero(att.levels >= 2)
-    if t_idx.size == 0:
-        return hAA
-    n_t = t_idx.size
-    t_level = att.levels[t_idx]
-    t_node = att.nodes[t_idx]
-
-    cur = np.zeros((gu.level_nodes[gu.L].size, n_t))
+    hAA = np.zeros((att.size, att.size))
+    targets = np.flatnonzero(att.levels >= 2)
+    cur = np.zeros((gu.level_nodes[gu.L].size, targets.size))
     for lvl in range(gu.L, 0, -1):
-        # Seed h~^(0)(w, w) = 1 for attention targets living at this level.
-        seed = np.flatnonzero(t_level == lvl)
-        if seed.size:
-            cur[gu.pos(lvl, t_node[seed]), seed] = 1.0
-        # Record rows at attention entries of this level into hAA
-        # (only strictly deeper targets are meaningful).
-        src_at = att.at_level(lvl)
-        if src_at.size:
-            rows = cur[gu.pos(lvl, att.nodes[src_at])]
-            deeper = t_level > lvl
-            hAA[np.ix_(src_at, t_idx[deeper])] = rows[:, deeper]
-        if lvl == 1:
-            break
-        # Push up one level: parent at lvl-1 aggregates children at lvl.
+        here = att.at_level(lvl)
+        hAA[np.ix_(here, targets)] = cur[gu.pos(lvl, att.nodes[here])]
+        seed = np.flatnonzero(att.levels[targets] == lvl)
+        cur[gu.pos(lvl, att.nodes[targets[seed]]), seed] = 1.0
         children, parents = gu.edges[lvl - 1]
-        nxt = np.zeros((gu.level_nodes[lvl - 1].size, n_t))
-        child_pos = gu.pos(lvl, children)
-        parent_pos = gu.pos(lvl - 1, parents)
-        w = sqrt_c / g.in_deg[parents]
-        np.add.at(nxt, parent_pos, cur[child_pos] * w[:, None])
-        cur = nxt
+        cur = sum_by(gu.pos(lvl - 1, parents),
+                     cur[gu.pos(lvl, children)]
+                     * (sqrt_c / g.in_deg[parents])[:, None],
+                     gu.level_nodes[lvl - 1].size)
     return hAA

@@ -23,6 +23,7 @@ implement that corrected threshold and record the deviation here.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 
@@ -38,13 +39,15 @@ class SimPushParams:
     def __post_init__(self) -> None:
         if not 0.0 < self.c < 1.0:
             raise ValueError(f"decay factor c={self.c} is not in (0, 1)")
-        if not self.eps > 0.0:
-            raise ValueError(f"error bound eps={self.eps} is not > 0")
+        if not 0.0 < self.eps < math.inf:
+            raise ValueError(f"error bound eps={self.eps} is not in (0, inf)")
         if not 0.0 < self.delta < 1.0:
             raise ValueError(f"failure probability delta={self.delta} "
                              "is not in (0, 1)")
-        if self.walks_cap is not None and self.walks_cap < 1:
-            raise ValueError(f"walks_cap={self.walks_cap} is not >= 1")
+        cap = self.walks_cap
+        if cap is not None and not (isinstance(cap, numbers.Integral)
+                                    and cap >= 1):
+            raise ValueError(f"walks_cap={cap} is not an integer >= 1")
 
     @property
     def sqrt_c(self) -> float:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.graphs.csr import CSRGraph
+from repro.graphs.csr import CSRGraph, sum_by
 
 
 @dataclass
@@ -91,21 +91,18 @@ def source_push(g: CSRGraph, u: int, eps_h: float, L: int, sqrt_c: float
             break
         edges.append((children, parents))
         # One Source-Push level over the edges just gathered.
-        h_next = np.bincount(children, minlength=g.n,
-                             weights=sqrt_c * h[parents] / g.in_deg[parents])
+        h_next = sum_by(children, sqrt_c * h[parents] / g.in_deg[parents],
+                        g.n)
         nodes = np.flatnonzero(h_next)
         level_nodes.append(nodes)
         h_levels.append(h_next[nodes])
         h = h_next
     gu = SourceGraph(L=len(level_nodes) - 1, level_nodes=level_nodes,
                      h=h_levels, edges=edges)
-    att_levels, att_nodes, att_h = [], [], []
-    for lvl in range(1, gu.L + 1):
-        mask = gu.h[lvl] >= eps_h
-        att_nodes.append(gu.level_nodes[lvl][mask])
-        att_h.append(gu.h[lvl][mask])
-        att_levels.append(np.full(int(mask.sum()), lvl, dtype=np.int64))
-    cat = (lambda xs, dt: np.concatenate(xs) if xs else np.array([], dtype=dt))
-    return gu, AttentionSet(levels=cat(att_levels, np.int64),
-                            nodes=cat(att_nodes, np.int64),
-                            h=cat(att_h, np.float64))
+    # Attention: entries below level 0 with h >= eps_h, in (level, node) order.
+    levels = np.repeat(np.arange(gu.L + 1, dtype=np.int64),
+                       [a.size for a in level_nodes])
+    nodes, hs = np.concatenate(level_nodes), np.concatenate(h_levels)
+    mask = (levels > 0) & (hs >= eps_h)
+    return gu, AttentionSet(levels=levels[mask], nodes=nodes[mask],
+                            h=hs[mask])

@@ -8,6 +8,9 @@ paper). The primitives and their callers:
 
 * ``in_edges`` — a frontier's in-edges: Source-Push's ``G_u`` levels. It
   and the two exact push operators share the one ragged gather, ``_gather``.
+* ``sum_by`` — the one accumulation kernel, dense sums by index: the two
+  push operators below, Source-Push's level step (``source_push``) and
+  Alg. 3's push of one column per target (``hitting``).
 * ``push_to_in_neighbors`` / ``push_to_out_neighbors`` — one level of
   ``sqrt(c) * h(v) / d_I(v)`` over in-edges / ``sqrt(c) * r(v') / d_I(v)``
   over out-edges: Reverse-Push (Alg. 5), ProbeSim's probes, PRSim's reverse
@@ -84,7 +87,7 @@ class CSRGraph:
         paper's walk semantics.
         """
         srcs, dsts = self.in_edges(np.flatnonzero(h))
-        return _sum_by(srcs, sqrt_c * h[dsts] / self.in_deg[dsts], self.n)
+        return sum_by(srcs, sqrt_c * h[dsts] / self.in_deg[dsts], self.n)
 
     def push_to_out_neighbors(self, r: np.ndarray, sqrt_c: float,
                               active: np.ndarray | None = None) -> np.ndarray:
@@ -97,7 +100,7 @@ class CSRGraph:
         if active is None:
             active = np.flatnonzero(r)
         dsts, srcs = _gather(self.out_ptr, self.out_idx, self.out_deg, active)
-        return _sum_by(dsts, sqrt_c * r[srcs] / self.in_deg[dsts], self.n)
+        return sum_by(dsts, sqrt_c * r[srcs] / self.in_deg[dsts], self.n)
 
     # ----------------------------------------------------------------- walks
 
@@ -197,9 +200,16 @@ def _ragged_offsets(counts: np.ndarray) -> np.ndarray:
     return out
 
 
-def _sum_by(idx: np.ndarray, weights: np.ndarray, n: int) -> np.ndarray:
-    """Dense float sums of ``weights`` by ``idx`` (bincount of none is int)."""
-    return np.bincount(idx, weights, n).astype(np.float64, copy=False)
+def sum_by(idx: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
+    """Dense float sums of ``values`` by ``idx``, added in entry order: one
+    value per entry gives ``(n,)``; one row per entry, an ``(entries, k)``
+    block, gives ``(n, k)`` by one bincount over the flattened
+    ``(row, column)`` index. (A bincount of none is int.)"""
+    if values.ndim == 2:
+        k = values.shape[1]
+        flat = (idx[:, None] * k + np.arange(k)).ravel()
+        return sum_by(flat, values.ravel(), n * k).reshape(n, k)
+    return np.bincount(idx, values, n).astype(np.float64, copy=False)
 
 
 def from_edges(src: np.ndarray, dst: np.ndarray, n: int | None = None) -> CSRGraph:

@@ -66,6 +66,34 @@ def hitting_bruteforce(g: CSRGraph, u: int, L: int, sqrt_c: float
     return out
 
 
+def gu_hitting_reference(g, gu, att, sqrt_c: float) -> np.ndarray:
+    """Alg. 3's ``hAA`` by an independent route: propagate each target's
+    indicator up the levels of ``G_u`` with explicit dict vectors
+    (Definition 5 verbatim)."""
+    n_att = att.size
+    hAA = np.zeros((n_att, n_att))
+    for b in range(n_att):
+        lb, nb = int(att.levels[b]), int(att.nodes[b])
+        if lb < 2:
+            continue
+        vec = {nb: 1.0}  # value at level lb
+        for lvl in range(lb, 0, -1):
+            # record at attention sources of this level
+            for a in range(n_att):
+                if int(att.levels[a]) == lvl and lvl < lb:
+                    hAA[a, b] = vec.get(int(att.nodes[a]), 0.0)
+            if lvl == 1:
+                break
+            children, parents = gu.edges[lvl - 1]
+            nxt: dict[int, float] = {}
+            for c_, p_ in zip(children.tolist(), parents.tolist()):
+                if c_ in vec:
+                    nxt[p_] = nxt.get(p_, 0.0) + \
+                        sqrt_c * vec[c_] / g.in_deg[p_]
+            vec = nxt
+    return hAA
+
+
 def gu_pair_walk_reference(g, gu, att, sqrt_c: float) -> np.ndarray:
     """Reference gammas by dynamic programming over *pairs* of walk
     positions inside ``G_u`` (Definition 4 verbatim): for each attention

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from pyspark.sql import functions as F
 
 from repro.graphs import generators
-from repro.graphs.csr import CSRGraph, _ragged_offsets, from_edges, from_spark
+from repro.graphs.csr import (CSRGraph, _ragged_offsets, from_edges,
+                              from_spark, sum_by)
 from repro.oracle import assert_equivalent
 from tests import helpers
 
@@ -69,6 +70,25 @@ def test_ragged_offsets():
     np.testing.assert_array_equal(
         _ragged_offsets(np.array([3, 1, 0, 2])), [0, 1, 2, 0, 0, 1])
     np.testing.assert_array_equal(_ragged_offsets(np.array([0, 0])), [])
+
+
+def test_sum_by_rows_equal_per_column_sums():
+    """An ``(entries, k)`` block sums per column exactly as ``k`` calls with
+    one value per entry do (repeated indices included)."""
+    rng = np.random.default_rng(3)
+    idx = rng.integers(0, 7, 50)
+    block = rng.random((50, 4))
+    out = sum_by(idx, block, 9)
+    assert out.shape == (9, 4) and out.dtype == np.float64
+    for j in range(4):
+        np.testing.assert_array_equal(out[:, j], sum_by(idx, block[:, j], 9))
+
+
+@pytest.mark.parametrize("idx,k", [([], 3), ([], 0), ([2, 0, 2], 0)])
+def test_sum_by_rows_of_no_entries_or_columns(idx, k):
+    out = sum_by(np.array(idx, dtype=np.int64), np.zeros((len(idx), k)), 5)
+    assert out.shape == (5, k) and out.dtype == np.float64
+    assert not out.any()
 
 
 @pytest.mark.parametrize("name", ["powerlaw", "social", "undirected", "star"])

@@ -10,33 +10,6 @@ from tests import helpers
 SQRT_C = np.sqrt(0.6)
 
 
-def _gu_hitting_reference(g, gu, att):
-    """Independent reference: propagate each target's indicator up the
-    levels of G_u with explicit dense vectors (Definition 5 verbatim)."""
-    n_att = att.size
-    hAA = np.zeros((n_att, n_att))
-    for b in range(n_att):
-        lb, nb = int(att.levels[b]), int(att.nodes[b])
-        if lb < 2:
-            continue
-        vec = {nb: 1.0}  # value at level lb
-        for lvl in range(lb, 0, -1):
-            # record at attention sources of this level
-            for a in range(n_att):
-                if int(att.levels[a]) == lvl and lvl < lb:
-                    hAA[a, b] = vec.get(int(att.nodes[a]), 0.0)
-            if lvl == 1:
-                break
-            children, parents = gu.edges[lvl - 1]
-            nxt: dict[int, float] = {}
-            for c_, p_ in zip(children.tolist(), parents.tolist()):
-                if c_ in vec:
-                    nxt[p_] = nxt.get(p_, 0.0) + \
-                        SQRT_C * vec[c_] / g.in_deg[p_]
-            vec = nxt
-    return hAA
-
-
 @pytest.mark.parametrize("name,u,L,eps_h", [
     ("social", 5, 3, 0.02),
     ("social", 11, 4, 0.01),
@@ -50,7 +23,7 @@ def test_matches_reference(name, u, L, eps_h):
     if att.size == 0:
         pytest.skip("no attention nodes at this setting")
     hAA = attention_hitting_matrix(g, gu, att, SQRT_C)
-    ref = _gu_hitting_reference(g, gu, att)
+    ref = helpers.gu_hitting_reference(g, gu, att, SQRT_C)
     np.testing.assert_allclose(hAA, ref, atol=1e-12)
 
 

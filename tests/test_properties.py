@@ -10,6 +10,7 @@ from repro.baselines.exact import exact_simrank
 from repro.core.params import SimPushParams
 from repro.core.simpush_local import simpush_local
 from repro.graphs.csr import from_edges
+from tests import helpers
 
 SQRT_C = np.sqrt(0.6)
 
@@ -59,13 +60,19 @@ def test_gamma_valid_on_random_graphs(data):
     from repro.core.source_push import source_push
     g = _random_graph(data.draw)
     u = data.draw(st.integers(0, g.n - 1))
-    gu, att = source_push(g, u, eps_h=0.02, L=4, sqrt_c=SQRT_C)
+    eps_h = data.draw(st.sampled_from([0.2, 0.05, 0.02, 0.005]))
+    L = data.draw(st.integers(1, 6))
+    gu, att = source_push(g, u, eps_h=eps_h, L=L, sqrt_c=SQRT_C)
     if att.size == 0:
         return
     hAA = attention_hitting_matrix(g, gu, att, SQRT_C)
     gam = gammas(hAA, att, gu.L)
     assert (gam >= 0).all() and (gam <= 1).all()
     assert (hAA >= 0).all() and (hAA <= 1 + 1e-12).all()
+    # Alg. 3 against Definition 5, with sinks inside G_u and nodes that
+    # sit on several levels.
+    np.testing.assert_allclose(
+        hAA, helpers.gu_hitting_reference(g, gu, att, SQRT_C), atol=1e-12)
 
 
 @given(seed=st.integers(0, 10**6))

@@ -143,6 +143,14 @@ def test_query_node_out_of_range_rejected(u):
         simpush_local(g, u, eps=0.1, seed=0)
 
 
+def test_negative_L_override_rejected():
+    """A negative depth is rejected: clamped by ``min(L_override, L*)`` it
+    would answer ``e_u``, outside the Theorem-1 bound."""
+    g = helpers.graph("social")
+    with pytest.raises(ValueError, match="L_override"):
+        simpush_local(g, 11, eps=0.1, L_override=-2)
+
+
 def test_trim_to_deepest_attention_level_is_exact():
     """Algs. 3-5 on G_u cut at the deepest attention level give exactly
     what they give on the whole G_u (the driver's trim)."""
@@ -191,6 +199,12 @@ def test_df_engine_rejects_negative_query_node(spark):
     edges = generators.to_spark(spark, np.array([1]), np.array([0]))
     with pytest.raises(ValueError):
         simpush_df(spark, edges, -1, eps=0.1, L_override=3)
+
+
+def test_df_engine_rejects_negative_L_override(spark):
+    edges = generators.to_spark(spark, np.array([1]), np.array([0]))
+    with pytest.raises(ValueError, match="L_override"):
+        simpush_df(spark, edges, 0, eps=0.1, L_override=-2)
 
 
 @pytest.mark.parametrize("u,eps", [(4, 0.1), (40, 0.05)])
