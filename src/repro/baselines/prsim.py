@@ -50,10 +50,6 @@ class PRSimIndex:
     index_bytes: int = 0
     eta_samples: int = field(default=600)
 
-    def is_hub(self, w: int) -> bool:
-        i = np.searchsorted(self.hubs, w)
-        return i < self.hubs.size and self.hubs[i] == w
-
 
 def _reverse_vectors(g: CSRGraph, w: int, Lmax: int, sc: float,
                      prune: float) -> list[tuple[np.ndarray, np.ndarray]]:

@@ -2,20 +2,23 @@
 
 An engine hands :func:`run_alg1` four stage callables; the driver alone
 decides the push depth, trims it to the deepest attention level before
-Alg. 3, runs Alg. 4 and hands ``(A_u, gamma)`` to Reverse-Push. The engines
-build their callables so that each stage is looked up through its module
-at call time (``walks.detect_L``, ``simpush.hitting_df``, ...): replacing a
-module attribute, as a tracer does, reaches every query.
+Alg. 3, runs Alg. 4 and forms Alg. 5's residues ``h * gamma`` through
+``reverse_push.seed_residues``, their one owner for both engines. Algs. 3-5
+index by the engine's ``AttentionSet``, ``A_u`` in (level, node) order.
+The engines build their callables so that each stage is looked up through
+its module at call time (``walks.detect_L``, ``simpush.hitting_df``, ...):
+replacing a module attribute, as a tracer does, reaches every query.
 """
 from __future__ import annotations
 
+import numbers
 import time
 from dataclasses import dataclass
 from typing import Any, Callable
 
 import numpy as np
 
-from repro.core import last_meeting
+from repro.core import last_meeting, reverse_push
 from repro.core.params import SimPushParams
 from repro.core.source_push import AttentionSet
 
@@ -40,7 +43,7 @@ def run_alg1(params: SimPushParams, u: int, n: int | None,
              detect: Callable[[], int],
              push: Callable[[int], tuple[Any, AttentionSet]],
              hit: Callable[[Any, AttentionSet, int], np.ndarray],
-             reverse: Callable[[AttentionSet, np.ndarray, int], Any],
+             reverse: Callable[[AttentionSet, np.ndarray], Any],
              ) -> Alg1Run:
     """Answer one query from ``u`` (a node id in ``[0, n)``; ``n=None``
     when the engine does not know the node count up front).
@@ -50,9 +53,14 @@ def run_alg1(params: SimPushParams, u: int, n: int | None,
     * ``push(L)`` — Alg. 2 lines 9–21: ``(G_u, A_u)``;
     * ``hit(G_u, A_u, L)`` — Alg. 3 over ``G_u`` levels ``0..L``: the
       ``|A| x |A|`` matrix ``hAA`` in ``A_u``'s (level, node) order;
-    * ``reverse(A_u, gamma, L)`` — Alg. 5 seeded with ``h * gamma`` at each
-      attention entry; returns the engine's scores (``s(u, u) = 1``).
+    * ``reverse(A_u, r)`` — Alg. 5 from the residues ``r``, one per entry of
+      ``A_u``; returns the engine's scores (``s(u, u) = 1``).
+
+    ``u`` and ``L_override`` must be integers.
     """
+    for name, x in (("query node", u), ("L_override", L_override)):
+        if x is not None and not isinstance(x, numbers.Integral):
+            raise ValueError(f"{name} {x!r} is not an integer")
     if u < 0 or (n is not None and u >= n):
         raise ValueError(f"query node {u} is not a node id"
                          + ("" if n is None else f" in [0, {n})"))
@@ -69,7 +77,7 @@ def run_alg1(params: SimPushParams, u: int, n: int | None,
     hAA = hit(gu, att, L)
     gamma = last_meeting.gammas(hAA, att, L)
     t3 = time.perf_counter()
-    scores = reverse(att, gamma, L)
+    scores = reverse(att, reverse_push.seed_residues(att, gamma))
     t4 = time.perf_counter()
     return Alg1Run(scores=scores, gu=gu, att=att, L=L,
                    t_mc=t1 - t0, t_source_push=t2 - t1, t_gamma=t3 - t2,

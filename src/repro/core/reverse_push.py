@@ -1,14 +1,16 @@
 """Alg. 5 — Reverse-Push: propagate attention residues to every node of G.
 
 Residue ``r^(l)(w) = h^(l)(u, w) * gamma^(l)(w)`` seeds attention node
-``w`` at level ``l``. Levels are processed from L down to 1; a node ``v'``
-pushes only when ``sqrt(c) * r(v') >= eps_h`` (the truncation that Lemma 4
-charges at ``eps_h * sqrt(c)^l`` per level); each out-neighbour ``v``
-receives ``sqrt(c) * r(v') / d_I(v)``. Residues pushed from level 1 land
-on level 0 and become the SimRank estimates ``s~(u, v)``; residues pushed
-onto an attention node at a lower level merge with its initial residue and
-are pushed together (the paper's combined-push optimisation) — this falls
-out naturally from keeping one dense residue vector per level.
+``w`` at level ``l``; :func:`seed_residues` forms it, one value per entry of
+``A_u`` in its (level, node) order. Reverse-Push carries one dense residue
+vector from level L down to 1. Each level adds its own seeds to what the
+level above pushed onto it, so an attention node's seed and the residue
+pushed onto it are thresholded and pushed together (the paper's
+combined-push optimisation). A node ``v'`` pushes only when
+``sqrt(c) * r(v') >= eps_h`` (the truncation that Lemma 4 charges at
+``eps_h * sqrt(c)^l`` per level); each out-neighbour ``v`` receives
+``sqrt(c) * r(v') / d_I(v)``. What level 1 pushes lands on level 0 and is
+the SimRank estimate ``s~(u, .)``.
 """
 from __future__ import annotations
 
@@ -18,33 +20,21 @@ from repro.core.source_push import AttentionSet
 from repro.graphs.csr import CSRGraph
 
 
-def seed_residues(n: int, att: AttentionSet, gamma: np.ndarray, L: int
-                  ) -> dict[int, np.ndarray]:
-    """Dense per-level residue vectors seeded with ``h * gamma`` at each
-    attention entry's (level, node)."""
-    r = {lvl: np.zeros(n) for lvl in range(1, L + 1)}
-    init = att.h * gamma
-    for a in range(att.size):
-        r[int(att.levels[a])][int(att.nodes[a])] += init[a]
-    return r
+def seed_residues(att: AttentionSet, gamma: np.ndarray) -> np.ndarray:
+    """Alg. 5's initial residue ``h * gamma`` of each attention entry."""
+    return att.h * gamma
 
 
-def reverse_push(g: CSRGraph, residues: dict[int, np.ndarray], u: int,
+def reverse_push(g: CSRGraph, att: AttentionSet, r: np.ndarray, u: int,
                  eps_h: float, sqrt_c: float) -> np.ndarray:
-    """Run Alg. 5 and return the dense single-source estimate vector
-    ``s~(u, .)`` (with ``s~(u, u) = 1`` forced at the end, line 10)."""
-    s = np.zeros(g.n)
-    if residues:
-        L = max(residues)
-        for lvl in range(L, 0, -1):
-            r = residues[lvl]
-            active = np.flatnonzero(sqrt_c * r >= eps_h)
-            if active.size == 0:
-                continue
-            out = g.push_to_out_neighbors(r, sqrt_c, active=active)
-            if lvl > 1:
-                residues[lvl - 1] += out
-            else:
-                s += out
-    s[u] = 1.0
-    return s
+    """Run Alg. 5 from the residues ``r`` (one per entry of ``att``) and
+    return the dense single-source estimate vector ``s~(u, .)`` (with
+    ``s~(u, u) = 1`` forced at the end, line 10)."""
+    res = np.zeros(g.n)
+    for lvl in range(int(att.levels.max(initial=0)), 0, -1):
+        here = att.at_level(lvl)
+        res[att.nodes[here]] += r[here]
+        res = g.push_to_out_neighbors(
+            res, sqrt_c, active=np.flatnonzero(sqrt_c * res >= eps_h))
+    res[u] = 1.0
+    return res

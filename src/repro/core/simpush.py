@@ -22,7 +22,11 @@ column ``to``. The weight's ``d_I`` is always the in-degree of the edge's
 
 ``G_u`` is the edge table ``(src, dst, d_in_dst, clevel)``: the rows of
 ``edges_d`` whose ``dst`` is in the level-``clevel - 1`` frontier, so
-``src`` is a level-``clevel`` child.
+``src`` is a level-``clevel`` child. Source-Push collects the attention
+entries once, into the driver's ``AttentionSet`` (``A_u`` in (level, node)
+order), and Algs. 3-5 index by it: Alg. 3's state rows are
+``(node, t, val)``, keyed by the target's index ``t`` in ``A_u``, and
+Reverse-Push's residue frame is ``(A_u.levels, A_u.nodes, r)``.
 
 ``simpush_df`` runs these through the shared Alg.-1 driver (``core.alg1``),
 which also runs Alg. 4 (gamma recurrences over the |A| x |A| attention
@@ -134,7 +138,7 @@ def _union(parts: list[DataFrame], spark: SparkSession, schema: str
 
 def source_push_df(spark: SparkSession, gf: GraphFrames, u: int,
                    eps_h: float, L: int, sqrt_c: float
-                   ) -> tuple[list[DataFrame], DataFrame, DataFrame]:
+                   ) -> tuple[list[DataFrame], DataFrame, AttentionSet]:
     """Alg. 2 lines 9–21. Returns ``(h_levels, gu_edges, attention)``:
 
     * ``h_levels[l]`` — DataFrame ``(node, h)`` of level-``l`` hitting
@@ -142,8 +146,8 @@ def source_push_df(spark: SparkSession, gf: GraphFrames, u: int,
     * ``gu_edges``    — DataFrame ``(src, dst, d_in_dst, clevel)``: the
       ``G_u`` edges from level-``clevel`` children ``src`` to their
       level-``clevel - 1`` parents ``dst``;
-    * ``attention``   — DataFrame ``(level, node, h)`` with ``h >= eps_h``,
-      levels 1..L.
+    * ``attention``   — the entries with ``h >= eps_h`` at levels 1..L,
+      collected in (level, node) order, as ``source_push`` returns them.
     """
     h = spark.createDataFrame(pd.DataFrame({"node": [int(u)], "h": [1.0]}))
     h_levels = [h]
@@ -163,76 +167,80 @@ def source_push_df(spark: SparkSession, gf: GraphFrames, u: int,
     gu_edges = (_union(gu_parts, spark,
                        "src long, dst long, d_in_dst long, clevel int")
                 .coalesce(16).localCheckpoint(eager=True))
-    attention = _union(
+    att = _union(
         [h_levels[lvl].where(F.col("h") >= eps_h)
          .withColumn("level", F.lit(lvl)) for lvl in range(1, len(h_levels))],
-        spark, "node long, h double, level int")
-    return h_levels, gu_edges, attention.select("level", "node", "h")
+        spark, "node long, h double, level int",
+    ).toPandas().sort_values(["level", "node"])
+    return h_levels, gu_edges, AttentionSet(
+        levels=att["level"].to_numpy(np.int64),
+        nodes=att["node"].to_numpy(np.int64), h=att["h"].to_numpy(np.float64))
 
 
-def hitting_df(spark: SparkSession, gu_edges: DataFrame,
-               attention_pdf: pd.DataFrame, L: int, sqrt_c: float
-               ) -> np.ndarray:
+def hitting_df(spark: SparkSession, gu_edges: DataFrame, att: AttentionSet,
+               L: int, sqrt_c: float) -> np.ndarray:
     """Alg. 3 over the ``G_u`` edge DataFrame. State rows are
-    ``(node, tlevel, tnode, val)``: the hitting probability from ``node``
-    (at the current loop level) to attention target ``(tlevel, tnode)``.
-    Returns the ``|A| x |A|`` matrix ``hAA`` whose rows and columns follow
-    ``attention_pdf``'s row order (as ``hitting.attention_hitting_matrix``).
+    ``(node, t, val)``: the hitting probability from ``node`` (at the
+    current loop level) to the attention entry ``t`` of ``att``. Returns
+    the ``|A| x |A|`` matrix ``hAA`` in ``att``'s order (as
+    ``hitting.attention_hitting_matrix``).
     """
-    hAA = np.zeros((len(attention_pdf), len(attention_pdf)))
-    targets = attention_pdf[attention_pdf["level"] >= 2]
-    if targets.empty:
+    hAA = np.zeros((att.size, att.size))
+    targets = np.flatnonzero(att.levels >= 2)
+    if targets.size == 0:
         return hAA
     seeds = spark.createDataFrame(pd.DataFrame({
-        "node": targets["node"].to_numpy(np.int64),
-        "tlevel": targets["level"].to_numpy(np.int64),
-        "tnode": targets["node"].to_numpy(np.int64),
-        "val": np.ones(len(targets)),
+        "node": att.nodes[targets], "t": targets,
+        "level": att.levels[targets], "val": np.ones(targets.size),
     }))
+
+    def seeds_at(lvl: int) -> DataFrame:
+        return seeds.where(F.col("level") == lvl).drop("level")
+
     recorded: list[DataFrame] = []
-    state = seeds.where(F.col("tlevel") == L)
+    state = seeds_at(L)
     for lvl in range(L - 1, 0, -1):
         # Push up one level along G_u edges (children at lvl + 1 -> parents).
         cur = _push(state, gu_edges.where(F.col("clevel") == lvl + 1),
-                    "src", "dst", sqrt_c, "val", keys=("tlevel", "tnode"))
+                    "src", "dst", sqrt_c, "val", keys=("t",))
         # Record h~ rows whose source is an attention entry at this level
         # (every pushed row targets a strictly deeper level).
-        src_here = attention_pdf.loc[attention_pdf["level"] == lvl, "node"]
-        if len(src_here):
+        src_here = att.nodes[att.at_level(lvl)]
+        if src_here.size:
             recorded.append(
                 cur.where(F.col("node").isin(src_here.tolist()))
                 .withColumn("slevel", F.lit(lvl)))
-        state = cur.unionByName(seeds.where(F.col("tlevel") == lvl))
-    rows = _union(recorded, spark, "node long, tlevel long, tnode long, "
-                                   "val double, slevel int").toPandas()
-    if len(rows):
-        index = pd.MultiIndex.from_frame(attention_pdf[["level", "node"]])
-        src = index.get_indexer(pd.MultiIndex.from_frame(
-            rows[["slevel", "node"]]))
-        tgt = index.get_indexer(pd.MultiIndex.from_frame(
-            rows[["tlevel", "tnode"]]))
-        hAA[src, tgt] = rows["val"].to_numpy()
+        state = cur.unionByName(seeds_at(lvl))
+    rows = _union(recorded, spark,
+                  "node long, t long, val double, slevel int").toPandas()
+    # A (level, node) pair as one int64 key; ascending in att's order.
+    span = int(att.nodes.max()) + 1
+    src = np.searchsorted(att.levels * span + att.nodes,
+                          rows["slevel"].to_numpy(np.int64) * span
+                          + rows["node"].to_numpy(np.int64))
+    hAA[src, rows["t"].to_numpy(np.int64)] = rows["val"].to_numpy()
     return hAA
 
 
-def reverse_push_df(spark: SparkSession, gf: GraphFrames,
-                    residues_pdf: pd.DataFrame, u: int, eps_h: float,
-                    sqrt_c: float, L: int) -> DataFrame:
-    """Alg. 5: thresholded residue push along out-edges, level L down to 1.
-    ``residues_pdf`` holds the initial attention residues
-    ``(level, node, r)``. Returns the estimate DataFrame ``(v, s)``."""
-    residues = spark.createDataFrame(residues_pdf[["level", "node", "r"]],
-                                     schema="level long, node long, r double")
-    r: DataFrame | None = None
-    for lvl in range(L, 0, -1):
+def reverse_push_df(spark: SparkSession, gf: GraphFrames, att: AttentionSet,
+                    r: np.ndarray, u: int, eps_h: float, sqrt_c: float
+                    ) -> DataFrame:
+    """Alg. 5: thresholded residue push along out-edges, level L down to 1,
+    from the residues ``r`` (one per entry of ``att``). Returns the
+    estimate DataFrame ``(v, s)``."""
+    residues = spark.createDataFrame(
+        pd.DataFrame({"level": att.levels, "node": att.nodes, "r": r}),
+        schema="level long, node long, r double")
+    res: DataFrame | None = None
+    for lvl in range(int(att.levels.max(initial=0)), 0, -1):
         seeds = residues.where(F.col("level") == lvl).select("node", "r")
-        r = seeds if r is None else (
-            seeds.unionByName(r).groupBy("node").agg(F.sum("r").alias("r")))
-        r = _push(r.where(F.lit(sqrt_c) * F.col("r") >= eps_h),
-                  gf.edges_d, "src", "dst", sqrt_c, "r")
+        res = seeds if res is None else (
+            seeds.unionByName(res).groupBy("node").agg(F.sum("r").alias("r")))
+        res = _push(res.where(F.lit(sqrt_c) * F.col("r") >= eps_h),
+                    gf.edges_d, "src", "dst", sqrt_c, "r")
     diag = spark.createDataFrame(pd.DataFrame({"node": [int(u)], "r": [1.0]}))
-    s = diag if r is None else (
-        r.where(F.col("node") != int(u)).unionByName(diag))
+    s = diag if res is None else (
+        res.where(F.col("node") != int(u)).unionByName(diag))
     return s.select(F.col("node").alias("v"), F.col("r").alias("s"))
 
 
@@ -248,28 +256,14 @@ def simpush_df(spark: SparkSession, edges: DataFrame, u: int, *,
     own_gf = gf is None
     if own_gf:
         gf = GraphFrames.build(edges)
-
-    def push(L: int) -> tuple[tuple[DataFrame, pd.DataFrame], AttentionSet]:
-        _, gu_edges, attention = source_push_df(
-            spark, gf, u, params.eps_h, L, sc)
-        att_pdf = attention.toPandas().sort_values(
-            ["level", "node"]).reset_index(drop=True)
-        att = AttentionSet(levels=att_pdf["level"].to_numpy(np.int64),
-                           nodes=att_pdf["node"].to_numpy(np.int64),
-                           h=att_pdf["h"].to_numpy(np.float64))
-        return (gu_edges, att_pdf), att
-
     try:
         return alg1.run_alg1(
             params, u, None, L_override,
             lambda: detect_L_df(spark, gf, u, params, seed=seed),
-            push,
-            lambda gu, att, L: hitting_df(spark, *gu, L, sc),
-            lambda att, gamma, L: reverse_push_df(
-                spark, gf, pd.DataFrame({"level": att.levels,
-                                         "node": att.nodes,
-                                         "r": att.h * gamma}),
-                u, params.eps_h, sc, L),
+            lambda L: source_push_df(spark, gf, u, params.eps_h, L, sc)[1:],
+            lambda gu, att, L: hitting_df(spark, gu, att, L, sc),
+            lambda att, r: reverse_push_df(spark, gf, att, r, u,
+                                           params.eps_h, sc),
         ).scores
     finally:
         if own_gf:

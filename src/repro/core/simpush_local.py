@@ -54,9 +54,8 @@ def simpush_local(g: CSRGraph, u: int, *, c: float = 0.6, eps: float = 0.1,
         lambda L: source_push.source_push(g, u, params.eps_h, L, sc),
         lambda gu, att, L: hitting.attention_hitting_matrix(
             g, gu.upto(L), att, sc),
-        lambda att, gamma, L: reverse_push.reverse_push(
-            g, reverse_push.seed_residues(g.n, att, gamma, L), u,
-            params.eps_h, sc))
+        lambda att, r: reverse_push.reverse_push(g, att, r, u, params.eps_h,
+                                                 sc))
     gu = run.gu
     return SimPushResult(scores=run.scores, L=gu.L, n_attention=run.att.size,
                          gu_nodes=gu.n_nodes, gu_edges=gu.n_edges,

@@ -36,10 +36,6 @@ class SourceGraph:
         """Index of each node within ``level_nodes[level]`` (must exist)."""
         return np.searchsorted(self.level_nodes[level], nodes)
 
-    def h_of(self, level: int, nodes: np.ndarray) -> np.ndarray:
-        """``h^(level)(u, node)`` for each node (must exist at the level)."""
-        return self.h[level][self.pos(level, nodes)]
-
     def upto(self, L: int) -> "SourceGraph":
         """Levels ``0..L`` of this graph (``L <= self.L``), sharing arrays."""
         return SourceGraph(L=L, level_nodes=self.level_nodes[:L + 1],

@@ -216,11 +216,14 @@ def from_edges(src: np.ndarray, dst: np.ndarray, n: int | None = None) -> CSRGra
     """Build a :class:`CSRGraph` from parallel edge arrays.
 
     Self-loops and duplicate edges are dropped (SimRank's definition assumes
-    a simple directed graph). Node ids must be in ``[0, n)``, else
-    ``ValueError``; ``n`` defaults to ``1 + max id``.
+    a simple directed graph). Node ids must be whole numbers in ``[0, n)``,
+    else ``ValueError``; ``n`` defaults to ``1 + max id``.
     """
-    src = np.asarray(src, dtype=np.int64)
-    dst = np.asarray(dst, dtype=np.int64)
+    src, dst = np.asarray(src), np.asarray(dst)
+    for ids in (src, dst):
+        if ids.dtype.kind not in "biu" and (ids % 1 != 0).any():
+            raise ValueError("edge endpoint ids must be whole numbers")
+    src, dst = (np.asarray(ids, dtype=np.int64) for ids in (src, dst))
     lo = min(src.min(initial=0), dst.min(initial=0))
     hi = max(src.max(initial=-1), dst.max(initial=-1))
     if n is None:

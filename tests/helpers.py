@@ -94,6 +94,30 @@ def gu_hitting_reference(g, gu, att, sqrt_c: float) -> np.ndarray:
     return hAA
 
 
+def reverse_push_reference(g: CSRGraph, att, r: np.ndarray, u: int,
+                           eps_h: float, sqrt_c: float) -> np.ndarray:
+    """Alg. 5 with one dense residue vector per level, every level seeded
+    up front: a second route to ``reverse_push.reverse_push``, which
+    carries one vector and must give exactly the same result."""
+    L = int(att.levels.max(initial=0))
+    residues = {lvl: np.zeros(g.n) for lvl in range(1, L + 1)}
+    for a in range(att.size):
+        residues[int(att.levels[a])][int(att.nodes[a])] += r[a]
+    s = np.zeros(g.n)
+    for lvl in range(L, 0, -1):
+        res = residues[lvl]
+        active = np.flatnonzero(sqrt_c * res >= eps_h)
+        if active.size == 0:
+            continue
+        out = g.push_to_out_neighbors(res, sqrt_c, active=active)
+        if lvl > 1:
+            residues[lvl - 1] += out
+        else:
+            s += out
+    s[u] = 1.0
+    return s
+
+
 def gu_pair_walk_reference(g, gu, att, sqrt_c: float) -> np.ndarray:
     """Reference gammas by dynamic programming over *pairs* of walk
     positions inside ``G_u`` (Definition 4 verbatim): for each attention

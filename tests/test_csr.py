@@ -49,6 +49,23 @@ def test_from_edges_rejects_out_of_range_ids(src, dst, n):
         from_edges(np.array(src), np.array(dst), n=n)
 
 
+@pytest.mark.parametrize("src,dst", [
+    ([0.5, 2.9], [1.7, 0.2]), ([0.0, 1.0], [2.0, np.nan]),
+    ([0, 1], [2.5, 0])])
+def test_from_edges_rejects_non_whole_ids(src, dst):
+    """``[0.5, 2.9] -> [1.7, 0.2]`` used to build the edges 0 -> 1 and
+    2 -> 0 by truncation."""
+    with pytest.raises(ValueError, match="whole numbers"):
+        from_edges(np.array(src), np.array(dst), n=3)
+
+
+def test_from_edges_accepts_whole_float_and_empty_ids():
+    g = from_edges(np.array([0.0, 2.0]), np.array([1.0, 0.0]), n=3)
+    assert g.out_idx.dtype == np.int64
+    np.testing.assert_array_equal(g.out_neighbors(2), [0])
+    assert from_edges(np.array([]), np.array([]), n=2).m == 0
+
+
 @pytest.mark.parametrize("name", sorted(helpers.GRAPHS))
 def test_in_edges_matches_in_neighbors(name):
     g = helpers.graph(name)

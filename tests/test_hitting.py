@@ -75,7 +75,6 @@ def test_empty_attention():
 def test_hitting_df_matches_local(spark):
     """Alg. 3 on the DataFrame engine produces the same attention-to-
     attention hitting matrix as the local engine."""
-    import pandas as pd
     from repro.core.simpush import GraphFrames, hitting_df, source_push_df
     from repro.graphs import generators
     from repro.graphs.csr import from_edges
@@ -89,11 +88,8 @@ def test_hitting_df_matches_local(spark):
     edges = generators.to_spark(spark, src, dst)
     gf = GraphFrames.build(edges)
     try:
-        _, gu_edges, attention = source_push_df(
-            spark, gf, u, eps_h, L, SQRT_C)
-        att_pdf = attention.toPandas().sort_values(
-            ["level", "node"]).reset_index(drop=True)
-        got = hitting_df(spark, gu_edges, att_pdf, gu.L, SQRT_C)
+        _, gu_edges, att_df = source_push_df(spark, gf, u, eps_h, L, SQRT_C)
+        got = hitting_df(spark, gu_edges, att_df, gu.L, SQRT_C)
     finally:
         gf.unpersist()
     np.testing.assert_allclose(got, ref, atol=1e-12)

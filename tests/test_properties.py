@@ -75,6 +75,29 @@ def test_gamma_valid_on_random_graphs(data):
         hAA, helpers.gu_hitting_reference(g, gu, att, SQRT_C), atol=1e-12)
 
 
+@given(data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_reverse_push_matches_per_level_reference(data):
+    """The one carried residue vector gives exactly what one vector per
+    level gives, untruncated and with a threshold that drops nodes."""
+    from repro.core.reverse_push import reverse_push
+    from repro.core.source_push import source_push
+    g = _random_graph(data.draw)
+    u = data.draw(st.integers(0, g.n - 1))
+    _, att = source_push(g, u, eps_h=data.draw(st.sampled_from([0.2, 0.02])),
+                         L=data.draw(st.integers(1, 6)), sqrt_c=SQRT_C)
+    if att.size == 0:
+        return
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    r = att.h * rng.random(att.size)
+    # At sqrt(c) times the median seed, seeds below the median push only
+    # when a residue pushed onto them lifts them over the threshold.
+    for eps_h in (0.0, SQRT_C * np.median(r)):
+        np.testing.assert_array_equal(
+            reverse_push(g, att, r, u, eps_h, SQRT_C),
+            helpers.reverse_push_reference(g, att, r, u, eps_h, SQRT_C))
+
+
 @given(seed=st.integers(0, 10**6))
 @settings(max_examples=20, deadline=None)
 def test_walk_sampler_stays_on_graph(seed):

@@ -1,5 +1,6 @@
 """Tests for Reverse-Push (Alg. 5): exact linearity when untruncated,
-truncation monotonicity, residue merging, and the DataFrame variant
+truncation monotonicity, the combined push of a seed and a pushed residue,
+and the DataFrame variant
 (including a DuckDB oracle check of one push level)."""
 import numpy as np
 import pandas as pd
@@ -26,11 +27,29 @@ def _att(levels, nodes, h):
 def test_seed_residues_places_and_merges():
     att = _att([1, 2, 2], [4, 4, 9], [0.5, 0.25, 0.125])
     gamma = np.array([1.0, 0.8, 0.5])
-    r = seed_residues(20, att, gamma, L=2)
-    assert r[1][4] == pytest.approx(0.5)
-    assert r[2][4] == pytest.approx(0.2)
-    assert r[2][9] == pytest.approx(0.0625)
-    assert r[1].sum() == pytest.approx(0.5)
+    r = seed_residues(att, gamma)
+    assert r[0] == pytest.approx(0.5)
+    assert r[1] == pytest.approx(0.2)
+    assert r[2] == pytest.approx(0.0625)
+    assert r[att.at_level(1)].sum() == pytest.approx(0.5)
+
+
+def test_seed_and_pushed_residue_push_together():
+    """The combined push: node 1's level-1 seed and the residue node 2
+    pushes onto it from level 2 are each below the threshold, but their
+    sum passes, so node 1 pushes their sum on to node 3."""
+    g = from_edges(np.array([2, 1]), np.array([1, 3]), n=4)
+    att = _att([1, 2], [1, 2], [1.0, 1.0])
+    r = np.array([0.1, 0.15])
+    eps_h = 0.1
+    pushed = SQRT_C * r[1]  # node 2 -> node 1, d_I(1) = 1
+    assert SQRT_C * r[1] >= eps_h
+    assert max(SQRT_C * r[0], SQRT_C * pushed) < eps_h
+    assert SQRT_C * (r[0] + pushed) >= eps_h
+    got = reverse_push(g, att, r, 0, eps_h=eps_h, sqrt_c=SQRT_C)
+    assert got[3] == pytest.approx(SQRT_C * (r[0] + pushed))
+    np.testing.assert_array_equal(got, helpers.reverse_push_reference(
+        g, att, r, 0, eps_h, SQRT_C))
 
 
 @pytest.mark.parametrize("name", ["social", "powerlaw", "undirected"])
@@ -55,8 +74,12 @@ def test_untruncated_equals_linear_reference(name):
             v = wt @ v
         expect += v
     u = 0
-    got = reverse_push(g, {k: v.copy() for k, v in residues.items()},
-                       u, eps_h=0.0, sqrt_c=SQRT_C)
+    nodes = [np.flatnonzero(residues[lvl]) for lvl in range(1, L + 1)]
+    r = np.concatenate([residues[lvl][nodes[lvl - 1]]
+                        for lvl in range(1, L + 1)])
+    att = _att(np.repeat(np.arange(1, L + 1), [a.size for a in nodes]),
+               np.concatenate(nodes), r)
+    got = reverse_push(g, att, r, u, eps_h=0.0, sqrt_c=SQRT_C)
     expect_final = expect.copy()
     expect_final[u] = 1.0
     np.testing.assert_allclose(got, expect_final, atol=1e-12)
@@ -66,13 +89,11 @@ def test_truncation_only_loses_mass():
     g = helpers.graph("social")
     att = _att([1, 2], [5, 17], [0.4, 0.2])
     gamma = np.ones(2)
-    full = reverse_push(g, seed_residues(g.n, att, gamma, 2), 0,
-                        eps_h=0.0, sqrt_c=SQRT_C)
-    trunc = reverse_push(g, seed_residues(g.n, att, gamma, 2), 0,
-                         eps_h=0.05, sqrt_c=SQRT_C)
+    r = seed_residues(att, gamma)
+    full = reverse_push(g, att, r, 0, eps_h=0.0, sqrt_c=SQRT_C)
+    trunc = reverse_push(g, att, r, 0, eps_h=0.05, sqrt_c=SQRT_C)
     assert (trunc <= full + 1e-12).all()
-    coarser = reverse_push(g, seed_residues(g.n, att, gamma, 2), 0,
-                           eps_h=0.2, sqrt_c=SQRT_C)
+    coarser = reverse_push(g, att, r, 0, eps_h=0.2, sqrt_c=SQRT_C)
     assert (coarser <= trunc + 1e-12).all()
 
 
@@ -89,24 +110,25 @@ def test_per_level_truncation_loss_bound():
     hAA = attention_hitting_matrix(g, gu, att, SQRT_C)
     gam = gammas(hAA, att, gu.L)
     eps_h = 0.01
-    full = reverse_push(g, seed_residues(g.n, att, gam, gu.L), 2,
-                        eps_h=0.0, sqrt_c=SQRT_C)
-    trunc = reverse_push(g, seed_residues(g.n, att, gam, gu.L), 2,
-                         eps_h=eps_h, sqrt_c=SQRT_C)
+    r = seed_residues(att, gam)
+    full = reverse_push(g, att, r, 2, eps_h=0.0, sqrt_c=SQRT_C)
+    trunc = reverse_push(g, att, r, 2, eps_h=eps_h, sqrt_c=SQRT_C)
     bound = 3 * eps_h * SQRT_C / (1 - SQRT_C)
     assert (full - trunc).max() <= bound + 1e-12
 
 
 def test_query_node_forced_to_one():
     g = helpers.graph("chain")
-    got = reverse_push(g, {1: np.zeros(g.n)}, 13, eps_h=0.1, sqrt_c=SQRT_C)
+    got = reverse_push(g, _att([1], [12], [0.5]), np.zeros(1), 13,
+                       eps_h=0.1, sqrt_c=SQRT_C)
     assert got[13] == 1.0
     assert got.sum() == 1.0
 
 
 def test_empty_residues():
     g = helpers.graph("chain")
-    got = reverse_push(g, {}, 5, eps_h=0.1, sqrt_c=SQRT_C)
+    got = reverse_push(g, _att([], [], []), np.zeros(0), 5, eps_h=0.1,
+                       sqrt_c=SQRT_C)
     assert got[5] == 1.0 and got.sum() == 1.0
 
 
@@ -118,15 +140,13 @@ def test_df_matches_local(spark):
     g = from_edges(src, dst, n=120)
     att = _att([1, 1, 2, 3], [5, 9, 30, 44], [0.4, 0.3, 0.2, 0.15])
     gamma = np.array([1.0, 0.9, 0.7, 1.0])
-    local = reverse_push(g, seed_residues(g.n, att, gamma, 3), 5,
-                         eps_h=0.01, sqrt_c=SQRT_C)
+    r = seed_residues(att, gamma)
+    local = reverse_push(g, att, r, 5, eps_h=0.01, sqrt_c=SQRT_C)
     edges = generators.to_spark(spark, src, dst)
     gf = GraphFrames.build(edges)
     try:
-        residues_pdf = pd.DataFrame({
-            "level": att.levels, "node": att.nodes, "r": att.h * gamma})
-        pdf = reverse_push_df(spark, gf, residues_pdf, 5, 0.01, SQRT_C,
-                              3).toPandas()
+        pdf = reverse_push_df(spark, gf, att, r, 5, 0.01,
+                              SQRT_C).toPandas()
     finally:
         gf.unpersist()
     dense = np.zeros(g.n)

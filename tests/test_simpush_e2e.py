@@ -136,11 +136,16 @@ def test_huge_eps_returns_unit_vector(eps, L_override):
     np.testing.assert_array_equal(res.scores, np.eye(g.n)[5])
 
 
-@pytest.mark.parametrize("u", [-1, 200, 10_000])
-def test_query_node_out_of_range_rejected(u):
+@pytest.mark.parametrize("u,L_override", [
+    pytest.param(u, L, id=name) for u, L, name in (
+        (-1, None, "-1"), (200, None, "200"), (10_000, None, "10000"),
+        (1.5, None, "1.5"), (3, 2.5, "L_override=2.5"))])
+def test_query_node_out_of_range_rejected(u, L_override):
+    """Also a query node or depth that is not an integer: node 1.5 used to
+    fail with an IndexError and ``L_override=2.5`` with a TypeError."""
     g = helpers.graph("social")
     with pytest.raises(ValueError):
-        simpush_local(g, u, eps=0.1, seed=0)
+        simpush_local(g, u, eps=0.1, seed=0, L_override=L_override)
 
 
 def test_negative_L_override_rejected():
@@ -169,10 +174,9 @@ def test_trim_to_deepest_attention_level_is_exact():
                     hAA = hitting.attention_hitting_matrix(g, graph, att,
                                                            p.sqrt_c)
                     gamma = last_meeting.gammas(hAA, att, depth)
-                    residues = reverse_push.seed_residues(g.n, att, gamma,
-                                                          depth)
-                    s = reverse_push.reverse_push(g, residues, u, p.eps_h,
-                                                  p.sqrt_c)
+                    s = reverse_push.reverse_push(
+                        g, att, reverse_push.seed_residues(att, gamma), u,
+                        p.eps_h, p.sqrt_c)
                     outs.append((hAA, gamma, s))
                 for full, cut in zip(*outs):
                     np.testing.assert_array_equal(full, cut)
@@ -196,9 +200,12 @@ def test_df_engine_matches_local_on_non_simple_graph(spark):
 
 
 def test_df_engine_rejects_negative_query_node(spark):
+    """Also a query node or depth that is not an integer: ``u=1.5`` used to
+    answer for node 1."""
     edges = generators.to_spark(spark, np.array([1]), np.array([0]))
-    with pytest.raises(ValueError):
-        simpush_df(spark, edges, -1, eps=0.1, L_override=3)
+    for u, L_override in ((-1, 3), (1.5, 3), (1, 2.5)):
+        with pytest.raises(ValueError):
+            simpush_df(spark, edges, u, eps=0.1, L_override=L_override)
 
 
 def test_df_engine_rejects_negative_L_override(spark):

@@ -113,7 +113,7 @@ def test_pos_and_h_of_helpers():
     if att.size:
         lvl = int(att.levels[0])
         node = att.nodes[:1]
-        assert gu.h_of(lvl, node)[0] == pytest.approx(att.h[0])
+        assert gu.h[lvl][gu.pos(lvl, node)][0] == pytest.approx(att.h[0])
 
 
 # --------------------------------------------------------------- DataFrame
@@ -127,7 +127,7 @@ def test_df_matches_local(spark):
     gf = GraphFrames.build(edges)
     try:
         gu, att = source_push(g, 4, eps_h=0.03, L=3, sqrt_c=SQRT_C)
-        h_levels, gu_edges, attention = source_push_df(
+        h_levels, gu_edges, att_df = source_push_df(
             spark, gf, 4, 0.03, 3, SQRT_C)
         assert len(h_levels) == gu.L + 1
         for lvl in range(gu.L + 1):
@@ -137,10 +137,9 @@ def test_df_matches_local(spark):
             ref = np.zeros(g.n)
             ref[gu.level_nodes[lvl]] = gu.h[lvl]
             np.testing.assert_allclose(dense, ref, atol=1e-12)
-        att_pdf = attention.toPandas()
-        got = {(int(r.level), int(r.node)) for r in att_pdf.itertuples()}
-        expect = {(int(l), int(n)) for l, n in zip(att.levels, att.nodes)}
-        assert got == expect
+        np.testing.assert_array_equal(att_df.levels, att.levels)
+        np.testing.assert_array_equal(att_df.nodes, att.nodes)
+        np.testing.assert_allclose(att_df.h, att.h, atol=1e-12)
         ge = gu_edges.toPandas()
         n_local = sum(len(np.unique(c * g.n + p))
                       for c, p in gu.edges)
@@ -183,7 +182,7 @@ def test_single_push_level_oracle(spark):
 @pytest.mark.parametrize("frm,to,keys", [
     ("dst", "src", ()),                    # Source-Push over edges_d
     ("src", "dst", ()),                    # Reverse-Push over edges_d
-    ("src", "dst", ("tlevel", "tnode")),   # Alg. 3 over one G_u level
+    ("src", "dst", ("t",)),                # Alg. 3 over one G_u level
 ])
 def test_push_operator_oracle(spark, frm, to, keys):
     """The engine's one push operator, ``_push``, in each of its uses vs
@@ -199,8 +198,7 @@ def test_push_operator_oracle(spark, frm, to, keys):
             assert nodes
             k = len(nodes)
             state = pd.DataFrame({"node": nodes * 2,
-                                  "tlevel": [3] * k + [2] * k,
-                                  "tnode": [50] * k + nodes,
+                                  "t": [7] * k + list(range(k)),
                                   "x": np.linspace(0.1, 1.0, 2 * k)})
             table, tables = "(SELECT * FROM gu WHERE clevel = 2)", {
                 "gu": gu_edges}
