@@ -10,27 +10,21 @@ from __future__ import annotations
 
 import argparse
 
-import numpy as np
-
 
 def report_L(dataset: str, eps: float = 0.05, n_queries: int = 10,
              seed: int = 0) -> dict:
     """The paper's in-text claims: average max level L and attention-set
     size (Twitter: L=2.76 at eps=0.02; DBLP: L=9.0; |A_u| dozens-hundreds).
     """
-    from repro.core.simpush_local import simpush_local
+    from repro.eval.harness import run_setting
     from repro.graphs import datasets
 
-    g = datasets.load(dataset)
-    queries = datasets.query_nodes(dataset, n_queries)
-    res = [simpush_local(g, int(u), eps=eps, seed=seed + i)
-           for i, u in enumerate(queries)]
-    return {
-        "dataset": dataset, "eps": eps,
-        "avg_L": float(np.mean([r.L for r in res])),
-        "avg_attention": float(np.mean([r.n_attention for r in res])),
-        "avg_gu_edges": float(np.mean([r.gu_edges for r in res])),
-    }
+    st = run_setting(datasets.load(dataset), "simpush", eps,
+                     datasets.query_nodes(dataset, n_queries), seed=seed,
+                     walks_cap=500_000).stats
+    return {"dataset": dataset, "eps": eps, "avg_L": st["L"],
+            "avg_attention": st["n_attention"],
+            "avg_gu_edges": st["gu_edges"]}
 
 
 def main() -> None:

@@ -7,17 +7,23 @@ Usage: python jobs/scaling.py
 from __future__ import annotations
 
 import argparse
-import time
 
 import numpy as np
 import pandas as pd
 
 
+def _query_times(g, queries, eps: float) -> dict:
+    """Mean SimPush and ProbeSim query time; query ``i`` is seeded ``i``."""
+    from repro.eval.harness import run_setting
+
+    return {f"{m}_s": run_setting(g, m, eps, queries, seed=0,
+                                  walks_cap=500_000).query_time
+            for m in ("simpush", "probesim")}
+
+
 def scaling_vs_m(sizes=(1000, 2000, 4000, 8000), eps: float = 0.1,
                  n_queries: int = 3, seed: int = 0) -> pd.DataFrame:
     """SimPush/ProbeSim query time on power-law graphs of growing m."""
-    from repro.baselines.probesim import probesim
-    from repro.core.simpush_local import simpush_local
     from repro.graphs import generators
     from repro.graphs.csr import from_edges
 
@@ -28,17 +34,7 @@ def scaling_vs_m(sizes=(1000, 2000, 4000, 8000), eps: float = 0.1,
         rng = np.random.default_rng(seed)
         queries = rng.choice(np.flatnonzero(g.in_deg > 0), n_queries,
                              replace=False)
-        t_sp, t_pr = [], []
-        for i, u in enumerate(queries):
-            t0 = time.perf_counter()
-            simpush_local(g, int(u), eps=eps, seed=i)
-            t_sp.append(time.perf_counter() - t0)
-            t0 = time.perf_counter()
-            probesim(g, int(u), eps_a=eps, seed=i)
-            t_pr.append(time.perf_counter() - t0)
-        rows.append({"n": n, "m": g.m,
-                     "simpush_s": float(np.mean(t_sp)),
-                     "probesim_s": float(np.mean(t_pr))})
+        rows.append({"n": n, "m": g.m, **_query_times(g, queries, eps)})
     return pd.DataFrame(rows)
 
 
@@ -47,25 +43,12 @@ def scaling_vs_eps(dataset: str = "pokec_analog",
                    n_queries: int = 3, seed: int = 0) -> pd.DataFrame:
     """Query time as eps shrinks (claimed: SimPush ~ 1/eps-ish terms,
     ProbeSim ~ 1/eps^2)."""
-    from repro.baselines.probesim import probesim
-    from repro.core.simpush_local import simpush_local
     from repro.graphs import datasets
 
     g = datasets.load(dataset)
     queries = datasets.query_nodes(dataset, n_queries)
-    rows = []
-    for eps in eps_grid:
-        t_sp, t_pr = [], []
-        for i, u in enumerate(queries):
-            t0 = time.perf_counter()
-            simpush_local(g, int(u), eps=eps, seed=i)
-            t_sp.append(time.perf_counter() - t0)
-            t0 = time.perf_counter()
-            probesim(g, int(u), eps_a=eps, seed=i)
-            t_pr.append(time.perf_counter() - t0)
-        rows.append({"eps": eps, "simpush_s": float(np.mean(t_sp)),
-                     "probesim_s": float(np.mean(t_pr))})
-    return pd.DataFrame(rows)
+    return pd.DataFrame([{"eps": eps, **_query_times(g, queries, eps)}
+                         for eps in eps_grid])
 
 
 def main() -> None:

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 
-import numpy as np
 import pandas as pd
 
 
@@ -16,7 +15,7 @@ def stage_table(dataset_names: list[str], eps_grid=(0.2, 0.1, 0.05, 0.025),
                 n_queries: int = 3, walks_cap: int = 2_000_000,
                 seed: int = 0) -> pd.DataFrame:
     """Average stage wall-times per (dataset, eps)."""
-    from repro.core.simpush_local import simpush_local
+    from repro.eval import harness
     from repro.graphs import datasets
 
     rows = []
@@ -24,20 +23,10 @@ def stage_table(dataset_names: list[str], eps_grid=(0.2, 0.1, 0.05, 0.025),
         g = datasets.load(name)
         queries = datasets.query_nodes(name, n_queries)
         for eps in eps_grid:
-            res = [simpush_local(g, int(u), eps=eps, seed=seed + i,
-                                 walks_cap=walks_cap)
-                   for i, u in enumerate(queries)]
-            rows.append({
-                "dataset": name, "eps": eps,
-                "t_mc_ms": 1e3 * float(np.mean([r.t_mc for r in res])),
-                "t_source_push_ms": 1e3 * float(np.mean(
-                    [r.t_source_push for r in res])),
-                "t_gamma_ms": 1e3 * float(np.mean([r.t_gamma for r in res])),
-                "t_reverse_push_ms": 1e3 * float(np.mean(
-                    [r.t_reverse_push for r in res])),
-                "avg_L": float(np.mean([r.L for r in res])),
-                "avg_attention": float(np.mean([r.n_attention for r in res])),
-            })
+            st = harness.run_setting(g, "simpush", eps, queries, seed=seed,
+                                     walks_cap=walks_cap).stats
+            rows.append({"dataset": name, "eps": eps, **harness.stage_ms(st),
+                         "avg_L": st["L"], "avg_attention": st["n_attention"]})
     return pd.DataFrame(rows)
 
 

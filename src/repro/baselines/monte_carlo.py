@@ -1,4 +1,4 @@
-"""Monte-Carlo SimRank estimators (Fogaras & Rácz style coupled walks).
+"""Monte-Carlo SimRank estimator (Fogaras & Rácz style coupled walks).
 
 ``pair_meeting_probability`` estimates ``s(u, v)`` for a batch of targets
 as the empirical probability that two sqrt(c)-walks from ``u`` and ``v``
@@ -7,9 +7,9 @@ no later meeting is possible). This is the paper's ground-truth generator
 for large graphs (pooling method, §5.1) and an independent statistical
 cross-check of the exact power-method oracle.
 
-``single_source_mc`` pairs the i-th of ``r`` walks from ``u`` with the
-i-th walk from every node — the classic index-free MC baseline and the
-estimator READS materialises into its index.
+The single-source MC estimator, which pairs the i-th of ``r`` walks from
+``u`` with the i-th walk from every node, is READS (``baselines/reads.py``)
+with its walks built at query time.
 """
 from __future__ import annotations
 
@@ -41,21 +41,3 @@ def pair_meeting_probability(g: CSRGraph, u: int, vs: np.ndarray, *,
         out[lo:lo + per] = met.reshape(chunk.shape[0], n_samples).mean(axis=1)
     return out
 
-
-def single_source_mc(g: CSRGraph, u: int, *, c: float = 0.6, r: int = 200,
-                     max_steps: int = 20, seed: int = 0) -> np.ndarray:
-    """Single-source MC baseline: ``r`` sqrt(c)-walks from every node;
-    ``s~(u, v)`` = fraction of walk indices ``i`` whose u-walk and v-walk
-    meet (same node, same step, both still walking)."""
-    rng = np.random.default_rng(seed)
-    sc = np.sqrt(c)
-    hits = np.zeros(g.n)
-    all_nodes = np.arange(g.n, dtype=np.int64)
-    for _ in range(r):
-        pos_all = g.sqrt_c_walks(all_nodes, sc, max_steps, rng)
-        pos_u = pos_all[u]
-        meet = (pos_all[:, 1:] == pos_u[None, 1:]) & (pos_u[None, 1:] >= 0)
-        hits += meet.any(axis=1)
-    out = hits / r
-    out[u] = 1.0
-    return out

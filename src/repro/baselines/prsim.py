@@ -93,9 +93,8 @@ def build_index(g: CSRGraph, *, c: float = 0.6, eps_a: float = 0.1,
                       index_bytes=nbytes, eta_samples=eta_samples)
 
 
-def query(g: CSRGraph, idx: PRSimIndex, u: int, *, c: float = 0.6,
-          delta: float = 1e-4, eps_a: float | None = None, seed: int = 0
-          ) -> np.ndarray:
+def query(g: CSRGraph, idx: PRSimIndex, u: int, *, eps_a: float,
+          c: float = 0.6, delta: float = 1e-4, seed: int = 0) -> np.ndarray:
     """Single-source estimate using the index (Eq. 4).
 
     As in the original, the u-side quantities are *sampled*: ``R =
@@ -107,8 +106,6 @@ def query(g: CSRGraph, idx: PRSimIndex, u: int, *, c: float = 0.6,
     time and that SimPush's attention-restriction avoids.
     """
     sc = math.sqrt(c)
-    if eps_a is None:
-        eps_a = idx.theta / (1.0 - sc) * 2.0  # invert build-time formula
     R = max(1, math.ceil(math.log(max(g.n, 2) / delta) / (2.0 * eps_a ** 2)))
     # Empirical visit counts at each level.
     counts = g.level_visits(u, R, sc, idx.Lmax, np.random.default_rng(seed))

@@ -26,6 +26,18 @@ from repro.graphs.csr import CSRGraph
 MAX_INDEX_N = 4000  # dense level matrices: hard cap for tractability
 
 
+def theta_lmax(eps_a: float, c: float) -> tuple[float, int]:
+    """SLING's per-entry threshold ``theta`` and level count ``Lmax``.
+
+    SLING's correction factors make its effective per-entry threshold much
+    finer than eps_a (the "large hidden constants" the paper cites); the
+    (1-sqrt(c))/4 factor reproduces both its accuracy and its
+    order-of-magnitude-larger-than-G index."""
+    sc = math.sqrt(c)
+    theta = eps_a * (1.0 - sc) / 4.0
+    return theta, max(1, int(math.log(1.0 / theta) / math.log(1.0 / sc)))
+
+
 @dataclass
 class SLINGIndex:
     levels: list[np.ndarray]   # H_l (dense, thresholded), l = 1..Lmax
@@ -43,12 +55,7 @@ def build_index(g: CSRGraph, *, c: float = 0.6, eps_a: float = 0.1,
             f"SLING dense index disabled for n={g.n} > {MAX_INDEX_N}")
     t0 = time.perf_counter()
     sc = math.sqrt(c)
-    # SLING's correction factors make its effective per-entry threshold much
-    # finer than eps_a (the "large hidden constants" the paper cites); the
-    # (1-sqrt(c))/4 factor reproduces both its accuracy and its
-    # order-of-magnitude-larger-than-G index.
-    theta = eps_a * (1.0 - sc) / 4.0
-    Lmax = max(1, int(math.floor(math.log(1.0 / theta) / math.log(1.0 / sc))))
+    theta, Lmax = theta_lmax(eps_a, c)
     wt = np.zeros((g.n, g.n))
     has = g.in_deg > 0
     rows = np.repeat(np.arange(g.n)[has], g.in_deg[has])

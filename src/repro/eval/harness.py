@@ -13,12 +13,11 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 import pandas as pd
 
-from repro.baselines import monte_carlo  # noqa: F401 (re-export for jobs)
 from repro.baselines import probesim as _probesim
 from repro.baselines import prsim as _prsim
 from repro.baselines import reads as _reads
@@ -26,7 +25,7 @@ from repro.baselines import sling as _sling
 from repro.baselines import topsim as _topsim
 from repro.baselines import tsf as _tsf
 from repro.baselines.exact import exact_simrank_cached
-from repro.core.simpush_local import simpush_local
+from repro.core.simpush_local import SimPushResult, simpush_local
 from repro.eval import memory, metrics
 from repro.graphs import datasets
 from repro.graphs.csr import CSRGraph
@@ -45,7 +44,10 @@ SETTINGS: dict[str, list] = {
 }
 
 ALL_METHODS = list(SETTINGS)
-INDEX_BASED = {"prsim", "sling", "reads", "tsf"}
+
+#: SimPush's per-query statistics: ``L``, ``|A_u|``, ``G_u``, stage times.
+SIMPUSH_STATS = tuple(f.name for f in fields(SimPushResult)
+                      if f.name != "scores")
 
 
 @dataclass
@@ -63,8 +65,9 @@ class RunRecord:
     precision: float = math.nan
     n_queries: int = 0
     excluded: str = ""
-    avg_L: float = math.nan
-    avg_attention: float = math.nan
+    #: Per-query mean of each ``SIMPUSH_STATS`` entry; NaN for other methods.
+    stats: dict = field(
+        default_factory=lambda: dict.fromkeys(SIMPUSH_STATS, math.nan))
     scores: list = field(default_factory=list, repr=False)
 
 
@@ -80,7 +83,7 @@ def _setting_str(method: str, s) -> str:
     return f"(T,1/h)=({s[0]},{s[1]})"
 
 
-def _estimated_index_bytes(method: str, s, g: CSRGraph) -> int:
+def _estimated_index_bytes(method: str, s, g: CSRGraph, c: float) -> int:
     """Pre-build footprint estimate used by the memory-budget exclusion."""
     if method == "reads":
         r, t = s
@@ -88,11 +91,14 @@ def _estimated_index_bytes(method: str, s, g: CSRGraph) -> int:
     if method == "tsf":
         return s[0] * g.n * 4
     if method == "sling":
-        sc = math.sqrt(0.6)
-        theta = s * (1 - sc) / 4.0
-        lmax = max(1, int(math.log(1 / theta) / math.log(1 / sc)))
+        lmax = _sling.theta_lmax(s, c)[1]
         return (lmax + 2) * g.n * g.n * 8  # dense build working set
     return 0
+
+
+def stage_ms(stats: dict) -> dict:
+    """SimPush's four stage-time means in ``stats`` as ``<stage>_ms``."""
+    return {f"{k}_ms": 1e3 * v for k, v in stats.items() if k.startswith("t_")}
 
 
 def run_setting(g: CSRGraph, method: str, s, queries: np.ndarray, *,
@@ -100,25 +106,23 @@ def run_setting(g: CSRGraph, method: str, s, queries: np.ndarray, *,
                 walks_cap: int = 2_000_000,
                 query_time_budget: float = 120.0) -> RunRecord:
     """Build (if index-based) and run every query; returns the record with
-    per-query score vectors attached (metrics are filled in by sweep)."""
+    per-query score vectors attached (metrics are filled in by sweep).
+    The one timed query loop: the sweep and the timing jobs in ``jobs/`` run
+    through it. Query ``i`` is seeded ``seed + i``."""
     rec = RunRecord(dataset="", method=method, setting=_setting_str(method, s))
-    build_time = 0.0
     index = None
     if method == "prsim":
         index = _prsim.build_index(g, c=c, eps_a=s, seed=seed)
-        build_time, rec.index_bytes = index.build_time, index.index_bytes
     elif method == "sling":
         index = _sling.build_index(g, c=c, eps_a=s, seed=seed)
-        build_time, rec.index_bytes = index.build_time, index.index_bytes
     elif method == "reads":
         index = _reads.build_index(g, c=c, r=s[0], t=s[1], seed=seed)
-        build_time, rec.index_bytes = index.build_time, index.index_bytes
     elif method == "tsf":
         index = _tsf.build_index(g, R_g=s[0], seed=seed)
-        build_time, rec.index_bytes = index.build_time, index.index_bytes
-    rec.build_time = build_time
+    if index is not None:
+        rec.build_time, rec.index_bytes = index.build_time, index.index_bytes
 
-    times, Ls, atts = [], [], []
+    times, stats = [], []
     qbytes = memory.generic_query_bytes(g)
     for qi, u in enumerate(queries):
         u = int(u)
@@ -127,8 +131,7 @@ def run_setting(g: CSRGraph, method: str, s, queries: np.ndarray, *,
             r = simpush_local(g, u, c=c, eps=s, delta=delta,
                               seed=seed + qi, walks_cap=walks_cap)
             scores = r.scores
-            Ls.append(r.L)
-            atts.append(r.n_attention)
+            stats.append([getattr(r, k) for k in SIMPUSH_STATS])
             qbytes = max(qbytes, memory.simpush_query_bytes(g, r.L))
         elif method == "probesim":
             scores = _probesim.probesim(g, u, c=c, eps_a=s, delta=delta,
@@ -157,9 +160,8 @@ def run_setting(g: CSRGraph, method: str, s, queries: np.ndarray, *,
     rec.query_time = float(np.mean(times)) if times else math.nan
     rec.n_queries = len(rec.scores)
     rec.peak_bytes = memory.peak_bytes(g, rec.index_bytes, qbytes)
-    if Ls:
-        rec.avg_L = float(np.mean(Ls))
-        rec.avg_attention = float(np.mean(atts))
+    if stats:
+        rec.stats = dict(zip(SIMPUSH_STATS, np.mean(stats, axis=0).tolist()))
     return rec
 
 
@@ -182,7 +184,7 @@ def sweep(dataset: str, methods: list[str] | None = None, *,
         if settings_idx is not None:
             grid = [grid[i] for i in settings_idx if i < len(grid)]
         for s in grid:
-            est = _estimated_index_bytes(method, s, g)
+            est = _estimated_index_bytes(method, s, g, c)
             if est > index_budget_bytes or (
                     method == "sling" and g.n > _sling.MAX_INDEX_N):
                 rec = RunRecord(dataset=dataset, method=method,
@@ -206,7 +208,8 @@ def sweep(dataset: str, methods: list[str] | None = None, *,
             "build_time_s": r.build_time, "index_MB": r.index_bytes / 2**20,
             "peak_MB": r.peak_bytes / 2**20, "avg_error@50": r.avg_error,
             "precision@50": r.precision, "n_queries": r.n_queries,
-            "avg_L": r.avg_L, "avg_attention": r.avg_attention,
+            "avg_L": r.stats["L"], "avg_attention": r.stats["n_attention"],
+            "avg_gu_edges": r.stats["gu_edges"], **stage_ms(r.stats),
             "excluded": r.excluded,
         })
     return pd.DataFrame(rows)

@@ -16,8 +16,8 @@ _F = 8  # bytes per float64
 
 
 def simpush_query_bytes(g: CSRGraph, L: int) -> int:
-    """Dense h + per-level residues + scores (G_u's levelled arrays are
-    bounded by the same per-level term)."""
+    """``L + 3`` dense n-vectors: ``L`` bound ``G_u``'s levelled ``h``; 3 hold
+    Reverse-Push's one residue vector, its push output and the scores."""
     return (L + 3) * g.n * _F
 
 

@@ -20,8 +20,8 @@ paper). The primitives and their callers:
   sampled ``h^(l)(u, .)``.
 * ``coupled_meetings`` — coupled walk pairs run until they meet: the MC
   ground truth (``pair_meeting_probability``) and PRSim's/SLING's ``eta``.
-* ``sqrt_c_walks`` — walks that keep every position: ProbeSim, READS and
-  ``single_source_mc``. Kept apart from ``level_visits``: detect_L built
+* ``sqrt_c_walks`` — walks that keep every position: ProbeSim and READS.
+  Kept apart from ``level_visits``: detect_L built
   on it ran 13–16 % slower.
 """
 from __future__ import annotations

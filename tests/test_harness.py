@@ -20,7 +20,8 @@ def test_sweep_schema(mini_sweep):
     expect = {"dataset", "method", "setting", "query_time_s",
               "build_time_s", "index_MB", "peak_MB", "avg_error@50",
               "precision@50", "n_queries", "avg_L", "avg_attention",
-              "excluded"}
+              "avg_gu_edges", "t_mc_ms", "t_source_push_ms", "t_gamma_ms",
+              "t_reverse_push_ms", "excluded"}
     assert set(mini_sweep.columns) == expect
     assert len(mini_sweep) == 4
     assert (mini_sweep["excluded"] == "").all()
@@ -35,6 +36,9 @@ def test_simpush_stats_reported(mini_sweep):
     row = mini_sweep[mini_sweep["method"] == "simpush"].iloc[0]
     assert row["avg_L"] >= 1
     assert row["avg_attention"] >= 1
+    assert row["avg_gu_edges"] >= 1 and row["t_source_push_ms"] > 0
+    other = mini_sweep[mini_sweep["method"] != "simpush"]
+    assert other[["avg_gu_edges", "t_mc_ms"]].isna().all().all()
 
 
 def test_index_methods_report_build(mini_sweep):
@@ -51,6 +55,16 @@ def test_memory_budget_exclusion():
                        index_budget_bytes=1024)
     assert (df["excluded"] == "index exceeds memory budget").all()
     assert np.isnan(df["avg_error@50"]).all()
+
+
+def test_sling_estimate_uses_the_sweeps_c():
+    """SLING's threshold eps_a (1 - sqrt(c)) / 4 at eps_a = 0.1 gives
+    floor(log(1/theta) / log(1/sqrt(c))) = 53 levels at c = 0.8 and 20 at
+    c = 0.6; the dense estimate is (levels + 2) n^2 float64s."""
+    g = datasets.load("in2004_analog")
+    for c, lmax in ((0.8, 53), (0.6, 20)):
+        assert harness._estimated_index_bytes("sling", 0.1, g, c) == \
+            (lmax + 2) * g.n * g.n * 8
 
 
 def test_sling_excluded_on_large_graphs():

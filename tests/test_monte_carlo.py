@@ -1,10 +1,11 @@
-"""Tests for the Monte-Carlo estimators (baselines/monte_carlo.py) against
-the exact oracle."""
+"""Tests for the Monte-Carlo estimators against the exact oracle: the
+pairwise estimator (baselines/monte_carlo.py) and single-source MC, which
+is READS (baselines/reads.py) with depth-20 walks."""
 import numpy as np
 import pytest
 
-from repro.baselines.monte_carlo import (pair_meeting_probability,
-                                         single_source_mc)
+from repro.baselines import reads
+from repro.baselines.monte_carlo import pair_meeting_probability
 from tests import helpers
 
 
@@ -62,7 +63,7 @@ def test_zero_pairs():
 def test_single_source_mc_matches_exact(name):
     g = helpers.graph(name)
     s = helpers.exact(name)
-    est = single_source_mc(g, 5, r=400, seed=0)
+    est = reads.query(g, reads.build_index(g, r=400, t=20, seed=0), 5)
     vk = np.argsort(s[5])[::-1][1:21]
     # Bernoulli with r=400 trials: sigma <= 0.025; allow 5 sigma.
     assert np.abs(est[vk] - s[5][vk]).max() < 0.125
@@ -71,5 +72,5 @@ def test_single_source_mc_matches_exact(name):
 
 def test_single_source_mc_range():
     g = helpers.graph("powerlaw")
-    est = single_source_mc(g, 3, r=50, seed=1)
+    est = reads.query(g, reads.build_index(g, r=50, t=20, seed=1), 3)
     assert est.min() >= 0 and est.max() <= 1
