@@ -10,7 +10,7 @@ paper). The primitives and their callers:
   and the two exact push operators share the one ragged gather, ``_gather``.
 * ``sum_by`` — the one accumulation kernel, dense sums by index: the two
   push operators below, Source-Push's level step (``source_push``) and
-  Alg. 3's push of one column per target (``hitting``).
+  Alg. 3's push of the seeded target columns (``hitting``).
 * ``push_to_in_neighbors`` / ``push_to_out_neighbors`` — one level of
   ``sqrt(c) * h(v) / d_I(v)`` over in-edges / ``sqrt(c) * r(v') / d_I(v)``
   over out-edges: Reverse-Push (Alg. 5), ProbeSim's probes, PRSim's reverse

@@ -8,7 +8,7 @@ import numpy as np
 
 from repro.baselines.exact import exact_simrank
 from repro.graphs import generators
-from repro.graphs.csr import CSRGraph, from_edges
+from repro.graphs.csr import CSRGraph, from_edges, sum_by
 
 #: name -> (builder, n). Small enough that exact SimRank is instant.
 GRAPHS = {
@@ -91,6 +91,28 @@ def gu_hitting_reference(g, gu, att, sqrt_c: float) -> np.ndarray:
                     nxt[p_] = nxt.get(p_, 0.0) + \
                         sqrt_c * vec[c_] / g.in_deg[p_]
             vec = nxt
+    return hAA
+
+
+def hitting_dense_reference(g: CSRGraph, gu, att, sqrt_c: float
+                            ) -> np.ndarray:
+    """Alg. 3 with one dense ``|level nodes| x |targets|`` block pushed over
+    every ``G_u`` edge at every level: a second route to
+    ``hitting.attention_hitting_matrix``, which pushes only seeded target
+    columns and nonzero child rows and must give exactly the same result."""
+    hAA = np.zeros((att.size, att.size))
+    targets = np.flatnonzero(att.levels >= 2)
+    cur = np.zeros((gu.level_nodes[gu.L].size, targets.size))
+    for lvl in range(gu.L, 0, -1):
+        here = att.at_level(lvl)
+        hAA[np.ix_(here, targets)] = cur[gu.pos(lvl, att.nodes[here])]
+        seed = np.flatnonzero(att.levels[targets] == lvl)
+        cur[gu.pos(lvl, att.nodes[targets[seed]]), seed] = 1.0
+        children, parents = gu.edges[lvl - 1]
+        cur = sum_by(gu.pos(lvl - 1, parents),
+                     cur[gu.pos(lvl, children)]
+                     * (sqrt_c / g.in_deg[parents])[:, None],
+                     gu.level_nodes[lvl - 1].size)
     return hAA
 
 

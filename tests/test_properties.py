@@ -77,6 +77,23 @@ def test_gamma_valid_on_random_graphs(data):
 
 @given(data=st.data())
 @settings(max_examples=30, deadline=None)
+def test_hitting_matches_dense_block_reference(data):
+    """Pushing only seeded target columns and nonzero child rows gives
+    exactly what the dense all-targets block gives."""
+    from repro.core.hitting import attention_hitting_matrix
+    from repro.core.source_push import source_push
+    g = _random_graph(data.draw)
+    u = data.draw(st.integers(0, g.n - 1))
+    eps_h = data.draw(st.sampled_from([0.2, 0.05, 0.02, 0.005]))
+    L = data.draw(st.integers(1, 6))
+    gu, att = source_push(g, u, eps_h=eps_h, L=L, sqrt_c=SQRT_C)
+    np.testing.assert_array_equal(
+        attention_hitting_matrix(g, gu, att, SQRT_C),
+        helpers.hitting_dense_reference(g, gu, att, SQRT_C))
+
+
+@given(data=st.data())
+@settings(max_examples=30, deadline=None)
 def test_reverse_push_matches_per_level_reference(data):
     """The one carried residue vector gives exactly what one vector per
     level gives, untruncated and with a threshold that drops nodes."""
