@@ -56,10 +56,11 @@ def run_alg1(params: SimPushParams, u: int, n: int | None,
     * ``reverse(A_u, r)`` — Alg. 5 from the residues ``r``, one per entry of
       ``A_u``; returns the engine's scores (``s(u, u) = 1``).
 
-    ``u`` and ``L_override`` must be integers.
+    ``u`` and ``L_override`` must be integers, not bools.
     """
     for name, x in (("query node", u), ("L_override", L_override)):
-        if x is not None and not isinstance(x, numbers.Integral):
+        if x is not None and (isinstance(x, bool)
+                              or not isinstance(x, numbers.Integral)):
             raise ValueError(f"{name} {x!r} is not an integer")
     if u < 0 or (n is not None and u >= n):
         raise ValueError(f"query node {u} is not a node id"

@@ -16,13 +16,13 @@ when its target is seeded, as it holds nothing but zeros at deeper levels.
 Each level, from ``L`` up to 1, *records* its attention entries' rows into
 ``hAA``, then *seeds* 1 at its own targets (prepending their columns), then
 *pushes* one level up through ``csr.sum_by`` over only the ``G_u`` edges
-whose child row is not all zero. Recording before seeding leaves the
-columns of targets at this level or shallower zero, so only strictly deeper
-targets record a value. Each sum adds the same nonzero terms in the same
-edge order as a push of every edge and every target column, so ``hAA`` is
-bit-identical to it. Alg. 4 consumes the ``|A| x |A|`` result
-``hAA[a, b] = h~^(lb-la)(node_a @ la -> node_b @ lb)`` (zero unless
-``lb > la``).
+(level rows) whose child row is not all zero. Recording before seeding
+leaves the columns of targets at this level or shallower zero, so only
+strictly deeper targets record a value. Each sum adds the same nonzero
+terms in the same edge order as a push of every edge and every target
+column, so ``hAA`` is bit-identical to it. Alg. 4 consumes the
+``|A| x |A|`` result ``hAA[a, b] = h~^(lb-la)(node_a @ la -> node_b @ lb)``
+(zero unless ``lb > la``).
 """
 from __future__ import annotations
 
@@ -40,15 +40,15 @@ def attention_hitting_matrix(g: CSRGraph, gu: SourceGraph, att: AttentionSet,
     cur = np.zeros((gu.level_nodes[gu.L].size, 0))
     for lvl in range(gu.L, 0, -1):
         here = att.at_level(lvl)
-        hAA[here, att.size - cur.shape[1]:] = cur[gu.pos(lvl, att.nodes[here])]
-        seed = here if lvl >= 2 else here[:0]
-        cur = np.hstack([np.zeros((cur.shape[0], seed.size)), cur])
-        cur[gu.pos(lvl, att.nodes[seed]), np.arange(seed.size)] = 1.0
-        children, parents = gu.edges[lvl - 1]
-        child = gu.pos(lvl, children)
+        rows = np.searchsorted(gu.level_nodes[lvl], att.nodes[here])
+        hAA[here, att.size - cur.shape[1]:] = cur[rows]
+        seed = here.size if lvl >= 2 else 0
+        cur = np.hstack([np.zeros((cur.shape[0], seed)), cur])
+        cur[rows[:seed], np.arange(seed)] = 1.0
+        child, parent = gu.edges[lvl - 1]
         live = cur.any(axis=1)[child]
-        child, parents = child[live], parents[live]
-        cur = sum_by(gu.pos(lvl - 1, parents),
-                     cur[child] * (sqrt_c / g.in_deg[parents])[:, None],
+        child, parent = child[live], parent[live]
+        w = sqrt_c / g.in_deg[gu.level_nodes[lvl - 1][parent]]
+        cur = sum_by(parent, cur[child] * w[:, None],
                      gu.level_nodes[lvl - 1].size)
     return hAA

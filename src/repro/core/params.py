@@ -45,8 +45,8 @@ class SimPushParams:
             raise ValueError(f"failure probability delta={self.delta} "
                              "is not in (0, 1)")
         cap = self.walks_cap
-        if cap is not None and not (isinstance(cap, numbers.Integral)
-                                    and cap >= 1):
+        if cap is not None and (isinstance(cap, bool) or not (
+                isinstance(cap, numbers.Integral) and cap >= 1)):
             raise ValueError(f"walks_cap={cap} is not an integer >= 1")
 
     @property

@@ -6,7 +6,8 @@ the hitting probabilities ``h^(l)(u, .)``, and the attention sets.
 runs from a level-``l+1`` node (child) to the level-``l`` node (parent) it
 was pushed from. A node expanded at level ``l < L`` contributes *all* its
 in-neighbours, so its in-degree within ``G_u`` equals its in-degree in
-``G`` (the paper's note (ii) after Eq. 12) — Alg. 3 relies on this.
+``G`` (the paper's note (ii) after Eq. 12) — Alg. 3 relies on this. Edges
+are kept as level rows, so Alg. 3 pushes along them with no id lookup.
 """
 from __future__ import annotations
 
@@ -23,18 +24,14 @@ class SourceGraph:
 
     ``level_nodes[l]`` — sorted node ids present at level ``l`` (0..L);
     ``h[l]`` — ``h^(l)(u, v)`` aligned with ``level_nodes[l]``;
-    ``edges[l]`` — ``(child, parent)`` arrays linking level ``l+1`` children
-    to level ``l`` parents, for ``l`` in 0..L-1.
+    ``edges[l]`` — ``(child_row, parent_row)``: rows in ``level_nodes`` of
+    the level ``l+1 -> l`` edges, in ``g.in_edges(level_nodes[l])`` order.
     """
 
     L: int
     level_nodes: list[np.ndarray]
     h: list[np.ndarray]
     edges: list[tuple[np.ndarray, np.ndarray]]
-
-    def pos(self, level: int, nodes: np.ndarray) -> np.ndarray:
-        """Index of each node within ``level_nodes[level]`` (must exist)."""
-        return np.searchsorted(self.level_nodes[level], nodes)
 
     def upto(self, L: int) -> "SourceGraph":
         """Levels ``0..L`` of this graph (``L <= self.L``), sharing arrays."""
@@ -76,23 +73,22 @@ def source_push(g: CSRGraph, u: int, eps_h: float, L: int, sqrt_c: float
     Exact (no sampling): each level is one application of the linear
     Source-Push operator; cost O(m) per level.
     """
-    h = np.zeros(g.n)
-    h[u] = 1.0
     level_nodes = [np.array([u], dtype=np.int64)]
     h_levels = [np.array([1.0])]
     edges: list[tuple[np.ndarray, np.ndarray]] = []
     for _ in range(L):
-        children, parents = g.in_edges(level_nodes[-1])
+        frontier = level_nodes[-1]
+        children, parents = g.in_edges(frontier)
         if children.size == 0:
             break
-        edges.append((children, parents))
+        parent_row = np.repeat(np.arange(frontier.size), g.in_deg[frontier])
         # One Source-Push level over the edges just gathered.
-        h_next = sum_by(children, sqrt_c * h[parents] / g.in_deg[parents],
-                        g.n)
-        nodes = np.flatnonzero(h_next)
-        level_nodes.append(nodes)
-        h_levels.append(h_next[nodes])
-        h = h_next
+        h_next = sum_by(children, sqrt_c * h_levels[-1][parent_row]
+                        / g.in_deg[parents], g.n)
+        nonzero = h_next != 0
+        edges.append((np.cumsum(nonzero)[children] - 1, parent_row))
+        level_nodes.append(np.flatnonzero(nonzero))
+        h_levels.append(h_next[nonzero])
     gu = SourceGraph(L=len(level_nodes) - 1, level_nodes=level_nodes,
                      h=h_levels, edges=edges)
     # Attention: entries below level 0 with h >= eps_h, in (level, node) order.

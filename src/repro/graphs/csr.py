@@ -26,6 +26,7 @@ paper). The primitives and their callers:
 """
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -217,7 +218,7 @@ def from_edges(src: np.ndarray, dst: np.ndarray, n: int | None = None) -> CSRGra
 
     Self-loops and duplicate edges are dropped (SimRank's definition assumes
     a simple directed graph). Node ids must be whole numbers in ``[0, n)``,
-    else ``ValueError``; ``n`` defaults to ``1 + max id``.
+    else ``ValueError``; ``n``, an integer >= 0, defaults to ``1 + max id``.
     """
     src, dst = np.asarray(src), np.asarray(dst)
     for ids in (src, dst):
@@ -228,6 +229,8 @@ def from_edges(src: np.ndarray, dst: np.ndarray, n: int | None = None) -> CSRGra
     hi = max(src.max(initial=-1), dst.max(initial=-1))
     if n is None:
         n = int(hi + 1)
+    elif isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 0:
+        raise ValueError(f"node count n={n!r} is not an integer >= 0")
     if lo < 0 or hi >= n:
         raise ValueError(f"edge endpoint ids span [{lo}, {hi}], "
                          f"not within [0, {n})")

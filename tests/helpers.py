@@ -66,6 +66,13 @@ def hitting_bruteforce(g: CSRGraph, u: int, L: int, sqrt_c: float
     return out
 
 
+def gu_edge_nodes(gu, l: int) -> tuple[np.ndarray, np.ndarray]:
+    """``G_u``'s edges from level ``l+1`` to level ``l`` as node ids:
+    ``(children, parents)``, from the level rows ``gu.edges[l]`` holds."""
+    child_row, parent_row = gu.edges[l]
+    return gu.level_nodes[l + 1][child_row], gu.level_nodes[l][parent_row]
+
+
 def gu_hitting_reference(g, gu, att, sqrt_c: float) -> np.ndarray:
     """Alg. 3's ``hAA`` by an independent route: propagate each target's
     indicator up the levels of ``G_u`` with explicit dict vectors
@@ -84,7 +91,7 @@ def gu_hitting_reference(g, gu, att, sqrt_c: float) -> np.ndarray:
                     hAA[a, b] = vec.get(int(att.nodes[a]), 0.0)
             if lvl == 1:
                 break
-            children, parents = gu.edges[lvl - 1]
+            children, parents = gu_edge_nodes(gu, lvl - 1)
             nxt: dict[int, float] = {}
             for c_, p_ in zip(children.tolist(), parents.tolist()):
                 if c_ in vec:
@@ -99,18 +106,23 @@ def hitting_dense_reference(g: CSRGraph, gu, att, sqrt_c: float
     """Alg. 3 with one dense ``|level nodes| x |targets|`` block pushed over
     every ``G_u`` edge at every level: a second route to
     ``hitting.attention_hitting_matrix``, which pushes only seeded target
-    columns and nonzero child rows and must give exactly the same result."""
+    columns and nonzero child rows and must give exactly the same result.
+    It reads the edges as node ids and finds each row by a search of its
+    level."""
+    def pos(level, nodes):
+        return np.searchsorted(gu.level_nodes[level], nodes)
+
     hAA = np.zeros((att.size, att.size))
     targets = np.flatnonzero(att.levels >= 2)
     cur = np.zeros((gu.level_nodes[gu.L].size, targets.size))
     for lvl in range(gu.L, 0, -1):
         here = att.at_level(lvl)
-        hAA[np.ix_(here, targets)] = cur[gu.pos(lvl, att.nodes[here])]
+        hAA[np.ix_(here, targets)] = cur[pos(lvl, att.nodes[here])]
         seed = np.flatnonzero(att.levels[targets] == lvl)
-        cur[gu.pos(lvl, att.nodes[targets[seed]]), seed] = 1.0
-        children, parents = gu.edges[lvl - 1]
-        cur = sum_by(gu.pos(lvl - 1, parents),
-                     cur[gu.pos(lvl, children)]
+        cur[pos(lvl, att.nodes[targets[seed]]), seed] = 1.0
+        children, parents = gu_edge_nodes(gu, lvl - 1)
+        cur = sum_by(pos(lvl - 1, parents),
+                     cur[pos(lvl, children)]
                      * (sqrt_c / g.in_deg[parents])[:, None],
                      gu.level_nodes[lvl - 1].size)
     return hAA
@@ -155,7 +167,7 @@ def gu_pair_walk_reference(g, gu, att, sqrt_c: float) -> np.ndarray:
         for lvl in range(la, gu.L):
             att_here = set()
             nxt: dict[tuple[int, int], float] = {}
-            children, parents = gu.edges[lvl]
+            children, parents = gu_edge_nodes(gu, lvl)
             adj: dict[int, np.ndarray] = {}
             for c_, p_ in zip(children, parents):
                 adj.setdefault(int(p_), []).append(int(c_))

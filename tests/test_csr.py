@@ -59,11 +59,21 @@ def test_from_edges_rejects_non_whole_ids(src, dst):
         from_edges(np.array(src), np.array(dst), n=3)
 
 
+@pytest.mark.parametrize("n", [2.5, 3.0, "3", True, -1, np.float64(3)],
+                         ids=["2.5", "3.0", "str", "True", "-1", "f64"])
+def test_from_edges_rejects_invalid_n(n):
+    """``n=2.5`` and ``n=3.0`` used to fail with numpy's cast TypeError,
+    ``n="3"`` with a UFuncTypeError; ``n=True`` is not a node count."""
+    with pytest.raises(ValueError, match="node count"):
+        from_edges(np.array([0]), np.array([1]), n=n)
+
+
 def test_from_edges_accepts_whole_float_and_empty_ids():
     g = from_edges(np.array([0.0, 2.0]), np.array([1.0, 0.0]), n=3)
     assert g.out_idx.dtype == np.int64
     np.testing.assert_array_equal(g.out_neighbors(2), [0])
     assert from_edges(np.array([]), np.array([]), n=2).m == 0
+    assert from_edges(np.array([0]), np.array([1]), n=np.int64(3)).n == 3
 
 
 @pytest.mark.parametrize("name", sorted(helpers.GRAPHS))

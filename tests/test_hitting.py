@@ -116,7 +116,8 @@ def test_branch_without_targets_is_skipped(monkeypatch):
     branch = {2: [4, 6, 7, 8], 3: [10, 11, 12, 13]}
     for lvl, nodes in branch.items():
         assert set(nodes) <= set(gu.level_nodes[lvl].tolist())
-        assert set(nodes) <= set(gu.edges[lvl - 1][0].tolist())
+        assert set(nodes) <= set(
+            helpers.gu_edge_nodes(gu, lvl - 1)[0].tolist())
     pushed = []
 
     def recording_sum_by(idx, values, n):

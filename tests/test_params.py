@@ -91,7 +91,7 @@ def test_monotone_in_eps(data):
     {"eps": 0.0}, {"eps": -0.1},
     {"delta": 0.0}, {"delta": 1.0},
     {"walks_cap": 0}, {"walks_cap": -5},
-    {"eps": math.inf}, {"walks_cap": 2.5},
+    {"eps": math.inf}, {"walks_cap": 2.5}, {"walks_cap": True},
 ])
 def test_invalid_params_rejected(kwargs):
     args = {"c": 0.6, "eps": 0.1, "delta": 1e-4, **kwargs}

@@ -139,10 +139,12 @@ def test_huge_eps_returns_unit_vector(eps, L_override):
 @pytest.mark.parametrize("u,L_override", [
     pytest.param(u, L, id=name) for u, L, name in (
         (-1, None, "-1"), (200, None, "200"), (10_000, None, "10000"),
-        (1.5, None, "1.5"), (3, 2.5, "L_override=2.5"))])
+        (1.5, None, "1.5"), (3, 2.5, "L_override=2.5"),
+        (True, None, "True"), (3, True, "L_override=True"))])
 def test_query_node_out_of_range_rejected(u, L_override):
     """Also a query node or depth that is not an integer: node 1.5 used to
-    fail with an IndexError and ``L_override=2.5`` with a TypeError."""
+    fail with an IndexError and ``L_override=2.5`` with a TypeError, and
+    node ``True`` answered for node 1."""
     g = helpers.graph("social")
     with pytest.raises(ValueError):
         simpush_local(g, u, eps=0.1, seed=0, L_override=L_override)
@@ -200,10 +202,10 @@ def test_df_engine_matches_local_on_non_simple_graph(spark):
 
 
 def test_df_engine_rejects_negative_query_node(spark):
-    """Also a query node or depth that is not an integer: ``u=1.5`` used to
-    answer for node 1."""
+    """Also a query node or depth that is not an integer: ``u=1.5`` and
+    ``u=True`` used to answer for node 1."""
     edges = generators.to_spark(spark, np.array([1]), np.array([0]))
-    for u, L_override in ((-1, 3), (1.5, 3), (1, 2.5)):
+    for u, L_override in ((-1, 3), (1.5, 3), (1, 2.5), (True, 3), (1, True)):
         with pytest.raises(ValueError):
             simpush_df(spark, edges, u, eps=0.1, L_override=L_override)
 

@@ -42,7 +42,8 @@ def test_gu_structure(name):
     its in-neighbours in G (the d_I^T = d_I property Alg. 3 relies on)."""
     g = helpers.graph(name)
     gu, _ = source_push(g, 3, eps_h=0.02, L=3, sqrt_c=SQRT_C)
-    for lvl, (children, parents) in enumerate(gu.edges):
+    for lvl in range(gu.L):
+        children, parents = helpers.gu_edge_nodes(gu, lvl)
         assert set(parents.tolist()) <= set(gu.level_nodes[lvl].tolist())
         assert set(children.tolist()) <= set(
             gu.level_nodes[lvl + 1].tolist())
@@ -113,7 +114,23 @@ def test_pos_and_h_of_helpers():
     if att.size:
         lvl = int(att.levels[0])
         node = att.nodes[:1]
-        assert gu.h[lvl][gu.pos(lvl, node)][0] == pytest.approx(att.h[0])
+        assert gu.h[lvl][gu.level_nodes[lvl] == node][0] == \
+            pytest.approx(att.h[0])
+
+
+@pytest.mark.parametrize("name", sorted(helpers.GRAPHS))
+@pytest.mark.parametrize("u", [0, 3, 17])
+def test_gu_edges_are_level_rows(name, u):
+    """``gu.edges[l]`` holds level rows: read back as node ids they are
+    exactly level ``l``'s in-edges in ``CSRGraph.in_edges`` order."""
+    g = helpers.graph(name)
+    gu, _ = source_push(g, u, eps_h=0.005, L=8, sqrt_c=SQRT_C)
+    assert len(gu.edges) == gu.L
+    for lvl in range(gu.L):
+        children, parents = helpers.gu_edge_nodes(gu, lvl)
+        expect_c, expect_p = g.in_edges(gu.level_nodes[lvl])
+        np.testing.assert_array_equal(children, expect_c)
+        np.testing.assert_array_equal(parents, expect_p)
 
 
 # --------------------------------------------------------------- DataFrame
@@ -141,11 +158,11 @@ def test_df_matches_local(spark):
         np.testing.assert_array_equal(att_df.nodes, att.nodes)
         np.testing.assert_allclose(att_df.h, att.h, atol=1e-12)
         ge = gu_edges.toPandas()
-        n_local = sum(len(np.unique(c * g.n + p))
-                      for c, p in gu.edges)
+        edges = [helpers.gu_edge_nodes(gu, lvl) for lvl in range(gu.L)]
+        n_local = sum(len(np.unique(c * g.n + p)) for c, p in edges)
         assert len(ge) == n_local
         got = set(zip(ge["clevel"], ge["src"], ge["dst"]))
-        expect = {(lvl, c_, p_) for lvl, (c, p) in enumerate(gu.edges, 1)
+        expect = {(lvl, c_, p_) for lvl, (c, p) in enumerate(edges, 1)
                   for c_, p_ in zip(c.tolist(), p.tolist())}
         assert got == expect
         np.testing.assert_array_equal(ge["d_in_dst"].to_numpy(),
