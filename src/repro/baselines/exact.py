@@ -55,6 +55,15 @@ def _wt_s(g: CSRGraph, s: np.ndarray) -> np.ndarray:
 _DENSE_BLAS_MAX_N = 4000  # below this, a dense W^T + BLAS matmul wins
 
 
+def dense_wt(g: CSRGraph) -> np.ndarray:
+    """Dense ``W^T``: row ``i`` is ``1/d_I(i)`` at each ``i' in I(i)``."""
+    wt = np.zeros((g.n, g.n))
+    has = g.in_deg > 0
+    rows = np.repeat(np.arange(g.n)[has], g.in_deg[has])
+    wt[rows, g.in_idx] = 1.0 / g.in_deg[rows]
+    return wt
+
+
 def exact_simrank(g: CSRGraph, *, c: float = 0.6, iters: int = 34
                   ) -> np.ndarray:
     """Dense ``n x n`` exact SimRank matrix (see module docstring).
@@ -65,12 +74,7 @@ def exact_simrank(g: CSRGraph, *, c: float = 0.6, iters: int = 34
     """
     s = np.eye(g.n)
     diag = np.arange(g.n)
-    wt = None
-    if g.n <= _DENSE_BLAS_MAX_N:
-        wt = np.zeros((g.n, g.n))
-        has = g.in_deg > 0
-        rows = np.repeat(np.arange(g.n)[has], g.in_deg[has])
-        wt[rows, g.in_idx] = 1.0 / g.in_deg[rows]
+    wt = dense_wt(g) if g.n <= _DENSE_BLAS_MAX_N else None
     for _ in range(iters):
         if wt is not None:
             s = c * (wt @ (wt @ s).T).T

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.baselines.exact import dense_wt
 from repro.baselines.prsim import estimate_eta
 from repro.graphs.csr import CSRGraph
 
@@ -56,10 +57,7 @@ def build_index(g: CSRGraph, *, c: float = 0.6, eps_a: float = 0.1,
     t0 = time.perf_counter()
     sc = math.sqrt(c)
     theta, Lmax = theta_lmax(eps_a, c)
-    wt = np.zeros((g.n, g.n))
-    has = g.in_deg > 0
-    rows = np.repeat(np.arange(g.n)[has], g.in_deg[has])
-    wt[rows, g.in_idx] = 1.0 / g.in_deg[rows]
+    wt = dense_wt(g)
     levels = []
     h = None
     for _ in range(Lmax):

@@ -38,10 +38,10 @@ def build_index(g: CSRGraph, *, R_g: int = 100, depth: int = 10,
     """Sample ``R_g`` one-way graphs (one in-neighbour per node each)."""
     t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
-    nodes = np.arange(g.n, dtype=np.int64)
-    owg = np.empty((R_g, g.n), dtype=np.int32)
+    has = np.flatnonzero(g.in_deg > 0)
+    owg = np.full((R_g, g.n), -1, dtype=np.int32)
     for i in range(R_g):
-        owg[i] = g.random_in_neighbor(nodes, rng).astype(np.int32)
+        owg[i, has] = g.random_in_neighbor(has, rng)
     return TSFIndex(owg=owg, R_g=R_g, depth=depth,
                     build_time=time.perf_counter() - t0)
 
@@ -69,8 +69,7 @@ def query(g: CSRGraph, idx: TSFIndex, u: int, *, c: float = 0.6,
             for step in range(1, idx.depth + 1):
                 if g.in_deg[cur] == 0:
                     break
-                cur = int(g.random_in_neighbor(
-                    np.array([cur], dtype=np.int64), rng)[0])
+                cur = int(g.random_in_neighbor(np.array([cur]), rng)[0])
                 walk[step] = cur
             valid = walk[1:] >= 0
             if not valid.any():

@@ -71,20 +71,21 @@ def source_push(g: CSRGraph, u: int, eps_h: float, L: int, sqrt_c: float
     """Run Alg. 2's propagation for ``L`` levels from ``u``.
 
     Exact (no sampling): each level is one application of the linear
-    Source-Push operator; cost O(m) per level.
+    Source-Push operator, its weight formed per frontier node; O(m) a level.
     """
     level_nodes = [np.array([u], dtype=np.int64)]
     h_levels = [np.array([1.0])]
     edges: list[tuple[np.ndarray, np.ndarray]] = []
     for _ in range(L):
         frontier = level_nodes[-1]
-        children, parents = g.in_edges(frontier)
+        children, _ = g.in_edges(frontier)
         if children.size == 0:
             break
-        parent_row = np.repeat(np.arange(frontier.size), g.in_deg[frontier])
-        # One Source-Push level over the edges just gathered.
-        h_next = sum_by(children, sqrt_c * h_levels[-1][parent_row]
-                        / g.in_deg[parents], g.n)
+        deg = g.in_deg[frontier]
+        parent_row = np.repeat(np.arange(frontier.size), deg)
+        # One Source-Push level; a sink's weight is never read.
+        w = sqrt_c * h_levels[-1] / np.maximum(deg, 1)
+        h_next = sum_by(children, w[parent_row], g.n)
         nonzero = h_next != 0
         edges.append((np.cumsum(nonzero)[children] - 1, parent_row))
         level_nodes.append(np.flatnonzero(nonzero))

@@ -23,6 +23,8 @@ paper). The primitives and their callers:
 * ``sqrt_c_walks`` — walks that keep every position: ProbeSim and READS.
   Kept apart from ``level_visits``: detect_L built
   on it ran 13–16 % slower.
+* ``random_in_neighbor`` — every walk's step, for nodes with an in-neighbour
+  only: the walkers drop sinks first; TSF's index build masks its own.
 """
 from __future__ import annotations
 
@@ -107,14 +109,10 @@ class CSRGraph:
 
     def random_in_neighbor(self, nodes: np.ndarray,
                            rng: np.random.Generator) -> np.ndarray:
-        """Uniform random in-neighbour per node; -1 where there is none."""
-        d = self.in_deg[nodes]
-        out = np.full(nodes.shape[0], -1, dtype=np.int64)
-        has = d > 0
-        if has.any():
-            pick = self.in_ptr[nodes[has]] + rng.integers(0, d[has])
-            out[has] = self.in_idx[pick]
-        return out
+        """Uniform random in-neighbour per node, each of which must have one
+        (a sink raises numpy's ``ValueError``); empty ``nodes`` draw nothing."""
+        return self.in_idx[self.in_ptr[nodes]
+                           + rng.integers(0, self.in_deg[nodes])]
 
     def sqrt_c_walks(self, start: np.ndarray, sqrt_c: float, max_steps: int,
                      rng: np.random.Generator) -> np.ndarray:
@@ -131,7 +129,7 @@ class CSRGraph:
         alive = np.ones(n_walks, dtype=bool)
         for step in range(1, max_steps + 1):
             alive &= rng.random(n_walks) < sqrt_c
-            alive &= self.in_deg[np.where(alive, cur, 0)] > 0
+            alive &= self.in_deg[cur] > 0
             idx = np.flatnonzero(alive)
             if idx.size == 0:
                 break

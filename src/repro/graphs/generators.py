@@ -44,8 +44,7 @@ def powerlaw(n: int, avg_out_deg: int, *, seed: int = 0,
     """
     rng = np.random.default_rng(seed)
     srcs, dsts = [], []
-    endpoints = [0]  # in-edge endpoints seen so far; node 0 bootstraps
-    ep = np.empty(n * avg_out_deg + 8, dtype=np.int64)
+    ep = np.empty(n * avg_out_deg + 8, dtype=np.int64)  # in-edge endpoints
     ep[0] = 0
     ep_len = 1
     for i in range(1, n):

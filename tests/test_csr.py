@@ -193,9 +193,10 @@ def test_random_in_neighbor_uniform():
 def test_random_in_neighbor_none():
     g = helpers.graph("chain")
     rng = np.random.default_rng(0)
-    out = g.random_in_neighbor(np.array([29, 0]), rng)
-    assert out[0] == -1  # chain edges run i -> i-1, so nobody points to 29
-    assert out[1] == 1   # node 0's only in-neighbour is 1
+    # Chain edges run i -> i-1, so nobody points to 29: a sink is misuse.
+    with pytest.raises(ValueError):
+        g.random_in_neighbor(np.array([29, 0]), rng)
+    assert g.random_in_neighbor(np.array([0]), rng)[0] == 1  # only in-nbr
 
 
 def test_sqrt_c_walks_shape_and_stopping():
