@@ -26,6 +26,8 @@ import math
 import numbers
 from dataclasses import dataclass
 
+DEFAULT_WALKS_CAP = 500_000  # both engines' default cap on the MC walk count
+
 
 @dataclass(frozen=True)
 class SimPushParams:

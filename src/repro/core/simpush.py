@@ -48,7 +48,7 @@ from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
 from repro.core import alg1
-from repro.core.params import SimPushParams
+from repro.core.params import DEFAULT_WALKS_CAP, SimPushParams
 from repro.core.source_push import AttentionSet
 
 
@@ -246,7 +246,7 @@ def reverse_push_df(spark: SparkSession, gf: GraphFrames, att: AttentionSet,
 
 def simpush_df(spark: SparkSession, edges: DataFrame, u: int, *,
                c: float = 0.6, eps: float = 0.1, delta: float = 1e-4,
-               seed: int = 0, walks_cap: int | None = 100_000,
+               seed: int = 0, walks_cap: int | None = DEFAULT_WALKS_CAP,
                L_override: int | None = None,
                gf: GraphFrames | None = None) -> DataFrame:
     """Alg. 1 end-to-end on the DataFrame engine. Returns ``(v, s)`` with

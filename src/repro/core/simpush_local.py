@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core import alg1, hitting, reverse_push, source_push, walks
-from repro.core.params import SimPushParams
+from repro.core.params import DEFAULT_WALKS_CAP, SimPushParams
 from repro.graphs.csr import CSRGraph
 
 
@@ -38,7 +38,7 @@ class SimPushResult:
 
 def simpush_local(g: CSRGraph, u: int, *, c: float = 0.6, eps: float = 0.1,
                   delta: float = 1e-4, seed: int = 0,
-                  walks_cap: int | None = 500_000,
+                  walks_cap: int | None = DEFAULT_WALKS_CAP,
                   L_override: int | None = None) -> SimPushResult:
     """Answer a single-source SimRank query with SimPush (Alg. 1).
 

@@ -136,7 +136,6 @@ def run_setting(g: CSRGraph, method: str, s, queries: np.ndarray, *,
         elif method == "probesim":
             scores = _probesim.probesim(g, u, c=c, eps_a=s, delta=delta,
                                         seed=seed + qi).scores
-            qbytes = memory.probesim_query_bytes(g)
         elif method == "prsim":
             scores = _prsim.query(g, index, u, c=c, delta=delta, eps_a=s,
                                   seed=seed + qi)

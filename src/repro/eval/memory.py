@@ -21,17 +21,13 @@ def simpush_query_bytes(g: CSRGraph, L: int) -> int:
     return (L + 3) * g.n * _F
 
 
-def probesim_query_bytes(g: CSRGraph) -> int:
-    """One probe vector + the score accumulator."""
-    return 3 * g.n * _F
-
-
 def prsim_query_bytes(g: CSRGraph, Lmax: int) -> int:
     """Visit-count matrix + score accumulator + one push vector."""
     return (Lmax + 3) * g.n * _F
 
 
 def generic_query_bytes(g: CSRGraph) -> int:
+    """Three dense n-vectors, e.g. ProbeSim's probe vector + the scores."""
     return 3 * g.n * _F
 
 

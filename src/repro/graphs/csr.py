@@ -6,6 +6,8 @@ edge ``src -> dst``; the in-neighbours of ``v`` are ``{src : (src, v) in E}``.
 SimRank's :math:`\\sqrt{c}`-walks follow **in-edges** (Definition 2 of the
 paper). The primitives and their callers:
 
+* ``simple_edges`` — self-loops and duplicate edges dropped: ``from_edges``
+  and the generators.
 * ``in_edges`` — a frontier's in-edges: Source-Push's ``G_u`` levels. It
   and the two exact push operators share the one ragged gather, ``_gather``.
 * ``sum_by`` — the one accumulation kernel, dense sums by index: the two
@@ -211,6 +213,15 @@ def sum_by(idx: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
     return np.bincount(idx, values, n).astype(np.float64, copy=False)
 
 
+def simple_edges(src: np.ndarray, dst: np.ndarray, n: int
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """The edges of int64 ids in ``[0, n)`` with self-loops and duplicates
+    dropped, sorted by ``(src, dst)``: one combined-key ``np.unique``."""
+    keep = src != dst
+    key = np.unique(src[keep] * n + dst[keep])
+    return key // n, key % n
+
+
 def from_edges(src: np.ndarray, dst: np.ndarray, n: int | None = None) -> CSRGraph:
     """Build a :class:`CSRGraph` from parallel edge arrays.
 
@@ -232,12 +243,7 @@ def from_edges(src: np.ndarray, dst: np.ndarray, n: int | None = None) -> CSRGra
     if lo < 0 or hi >= n:
         raise ValueError(f"edge endpoint ids span [{lo}, {hi}], "
                          f"not within [0, {n})")
-    keep = src != dst
-    src, dst = src[keep], dst[keep]
-    # Dedupe via a combined key sort (unique while ids are in [0, n)).
-    key = src * n + dst
-    key = np.unique(key)
-    src, dst = key // n, key % n
+    src, dst = simple_edges(src, dst, n)
 
     def _build(by: np.ndarray, other: np.ndarray):
         order = np.argsort(by, kind="stable")
@@ -251,14 +257,3 @@ def from_edges(src: np.ndarray, dst: np.ndarray, n: int | None = None) -> CSRGra
     return CSRGraph(n=n, out_ptr=out_ptr, out_idx=out_idx,
                     in_ptr=in_ptr, in_idx=in_idx,
                     out_deg=out_deg, in_deg=in_deg)
-
-
-def from_spark(edges_df) -> CSRGraph:
-    """Collect a Spark ``(src, dst)`` edge DataFrame into a :class:`CSRGraph`.
-
-    The number of nodes is taken as ``1 + max id`` so isolated high ids are
-    preserved. This is the bridge from the distributed representation into
-    the single-machine timing engine (DESIGN.md §2).
-    """
-    pdf = edges_df.select("src", "dst").toPandas()
-    return from_edges(pdf["src"].to_numpy(), pdf["dst"].to_numpy())

@@ -15,8 +15,8 @@ generators produce structural analogs:
 * :func:`erdos_renyi` — flat-degree control graph for unit tests.
 
 All generators are deterministic in ``seed`` and return ``(src, dst)``
-int64 arrays with self-loops/duplicates removed downstream by
-``csr.from_edges``.
+int64 arrays with self-loops/duplicates removed by ``csr.simple_edges``,
+the rule ``csr.from_edges`` applies too.
 """
 from __future__ import annotations
 
@@ -24,12 +24,7 @@ import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 
-
-def _dedupe(src: np.ndarray, dst: np.ndarray, n: int):
-    keep = src != dst
-    src, dst = src[keep], dst[keep]
-    key = np.unique(src.astype(np.int64) * n + dst)
-    return key // n, key % n
+from repro.graphs.csr import simple_edges
 
 
 def powerlaw(n: int, avg_out_deg: int, *, seed: int = 0,
@@ -61,7 +56,7 @@ def powerlaw(n: int, avg_out_deg: int, *, seed: int = 0,
         ep_len += k
     src = np.concatenate(srcs)
     dst = np.concatenate(dsts)
-    return _dedupe(src, dst, n)
+    return simple_edges(src, dst, n)
 
 
 def social(n: int, avg_out_deg: int, *, seed: int = 0,
@@ -93,7 +88,7 @@ def social(n: int, avg_out_deg: int, *, seed: int = 0,
     c = s_dst[ptr[b] + rng.integers(0, deg[b])]
     src = np.concatenate([src, r_src, a])
     dst = np.concatenate([dst, r_dst, c])
-    return _dedupe(src, dst, n)
+    return simple_edges(src, dst, n)
 
 
 def undirected(n: int, avg_deg: int, *, seed: int = 0
@@ -101,7 +96,8 @@ def undirected(n: int, avg_deg: int, *, seed: int = 0
     """Symmetrised power-law graph: every edge exists in both directions
     (the paper's convention for undirected inputs, §2.1)."""
     src, dst = powerlaw(n, max(avg_deg // 2, 1), seed=seed)
-    return _dedupe(np.concatenate([src, dst]), np.concatenate([dst, src]), n)
+    return simple_edges(np.concatenate([src, dst]),
+                        np.concatenate([dst, src]), n)
 
 
 def erdos_renyi(n: int, m: int, *, seed: int = 0
@@ -110,7 +106,7 @@ def erdos_renyi(n: int, m: int, *, seed: int = 0
     rng = np.random.default_rng(seed)
     src = rng.integers(0, n, m)
     dst = rng.integers(0, n, m)
-    return _dedupe(src, dst, n)
+    return simple_edges(src, dst, n)
 
 
 def to_spark(spark: SparkSession, src: np.ndarray, dst: np.ndarray

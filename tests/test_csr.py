@@ -9,7 +9,7 @@ from pyspark.sql import functions as F
 
 from repro.graphs import generators
 from repro.graphs.csr import (CSRGraph, _ragged_offsets, from_edges,
-                              from_spark, sum_by)
+                              sum_by)
 from repro.oracle import assert_equivalent
 from tests import helpers
 
@@ -231,17 +231,6 @@ def test_sqrt_c_walks_match_push_distribution():
 def test_nbytes_positive():
     g = helpers.graph("powerlaw")
     assert g.nbytes > 0
-
-
-def test_from_spark_roundtrip(spark):
-    src, dst = generators.social(150, 4, seed=8)
-    df = generators.to_spark(spark, src, dst)
-    g1 = from_spark(df)
-    g2 = from_edges(src, dst)
-    assert g1.n == g2.n and g1.m == g2.m
-    np.testing.assert_array_equal(g1.in_ptr, g2.in_ptr)
-    np.testing.assert_array_equal(g1.in_idx, g2.in_idx)
-    np.testing.assert_array_equal(g1.out_idx, g2.out_idx)
 
 
 def test_in_degree_matches_duckdb(spark):
