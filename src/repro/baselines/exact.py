@@ -10,8 +10,9 @@ as ground truth; the exact fixed point is a strictly stronger oracle
 
 Two implementations:
 
-* :func:`exact_simrank` — numpy, scales to the small dataset suite (the
-  SpMM is a segment-sum over CSR, no scipy needed);
+* :func:`exact_simrank` — numpy, two BLAS matmuls per iteration against
+  a dense ``n x n`` ``W^T`` (no scipy needed), for the small dataset suite
+  and the benchmark's exact gate (n <= 2600);
 * :func:`exact_simrank_df` — Spark DataFrame (pair-table joins), used on
   tiny graphs to cross-validate the numpy oracle and to give the DuckDB
   oracle a relational iteration step to check.
@@ -28,33 +29,6 @@ from pyspark.sql import functions as F
 from repro.graphs.csr import CSRGraph
 
 
-def _segment_mean_rows(x_gathered: np.ndarray, ptr: np.ndarray,
-                       deg: np.ndarray) -> np.ndarray:
-    """Per-segment row sums of ``x_gathered`` divided by ``deg``; rows with
-    ``deg == 0`` are zero. Works around ``np.add.reduceat``'s empty-segment
-    quirk (it returns the *next* row instead of 0) by overwriting those rows.
-    """
-    n = deg.shape[0]
-    out = np.zeros((n, x_gathered.shape[1]))
-    nz = np.flatnonzero(deg > 0)
-    if nz.size == 0 or x_gathered.shape[0] == 0:
-        return out
-    # Reduce only over the starts of *non-empty* segments: empty segments
-    # occupy no rows of the gather, so consecutive non-empty starts are
-    # exactly the segment boundaries and reduceat's empty-segment quirk
-    # never applies.
-    out[nz] = np.add.reduceat(x_gathered, ptr[nz], axis=0) / deg[nz, None]
-    return out
-
-
-def _wt_s(g: CSRGraph, s: np.ndarray) -> np.ndarray:
-    """``(W^T S)[i, :] = (1/d_I(i)) * sum_{i' in I(i)} S[i', :]``."""
-    return _segment_mean_rows(s[g.in_idx], g.in_ptr, g.in_deg)
-
-
-_DENSE_BLAS_MAX_N = 4000  # below this, a dense W^T + BLAS matmul wins
-
-
 def dense_wt(g: CSRGraph) -> np.ndarray:
     """Dense ``W^T``: row ``i`` is ``1/d_I(i)`` at each ``i' in I(i)``."""
     wt = np.zeros((g.n, g.n))
@@ -66,20 +40,12 @@ def dense_wt(g: CSRGraph) -> np.ndarray:
 
 def exact_simrank(g: CSRGraph, *, c: float = 0.6, iters: int = 34
                   ) -> np.ndarray:
-    """Dense ``n x n`` exact SimRank matrix (see module docstring).
-
-    For small ``n`` the iteration runs as two BLAS matmuls against a dense
-    ``W^T`` (much faster than segment sums); above ``_DENSE_BLAS_MAX_N``
-    it falls back to the O(m n)-per-multiply CSR segment-sum path.
-    """
+    """Dense ``n x n`` exact SimRank matrix (see module docstring)."""
     s = np.eye(g.n)
     diag = np.arange(g.n)
-    wt = dense_wt(g) if g.n <= _DENSE_BLAS_MAX_N else None
+    wt = dense_wt(g)
     for _ in range(iters):
-        if wt is not None:
-            s = c * (wt @ (wt @ s).T).T
-        else:
-            s = c * _wt_s(g, _wt_s(g, s).T).T
+        s = c * (wt @ (wt @ s).T).T
         s[diag, diag] = 1.0
     return s
 
@@ -92,7 +58,9 @@ _CACHE_DIR = os.path.join(os.path.dirname(os.path.dirname(
 def exact_simrank_cached(g: CSRGraph, *, c: float = 0.6, iters: int = 34,
                          tag: str | None = None) -> np.ndarray:
     """Disk-cached :func:`exact_simrank` (the matrix is a pure function of
-    the graph, so the cache key hashes the CSR arrays + params)."""
+    the graph, so the cache key hashes the CSR arrays + params). The file is
+    written under a temporary name and renamed into place, so a write cut
+    short never leaves a truncated matrix at the cache path."""
     h = hashlib.sha1()
     for a in (g.out_ptr, g.out_idx):
         h.update(np.ascontiguousarray(a).tobytes())
@@ -103,7 +71,13 @@ def exact_simrank_cached(g: CSRGraph, *, c: float = 0.6, iters: int = 34,
         return np.load(path)
     s = exact_simrank(g, c=c, iters=iters)
     os.makedirs(_CACHE_DIR, exist_ok=True)
-    np.save(path, s)
+    tmp = f"{path}.{os.getpid()}.tmp.npy"
+    try:
+        np.save(tmp, s)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
     return s
 
 

@@ -28,6 +28,10 @@ from repro.graphs.csr import CSRGraph
 #: mirrors its c-dependent constant (EXPERIMENTS.md §calibration).
 KAPPA = 0.5
 
+#: Steps kept per sampled sqrt(c)-walk; at c = 0.6 a walk lasts that long
+#: w.p. 0.6^12 ~ 0.002.
+MAX_WALK_LEN = 24
+
 
 @dataclass
 class ProbeSimResult:
@@ -37,24 +41,22 @@ class ProbeSimResult:
 
 
 def probesim(g: CSRGraph, u: int, *, c: float = 0.6, eps_a: float = 0.1,
-             delta: float = 1e-4, seed: int = 0, max_walk_len: int = 24,
-             n_samples: int | None = None, prune: float | None = None
+             delta: float = 1e-4, seed: int = 0, prune: float | None = None
              ) -> ProbeSimResult:
     """Single-source estimate ``s~(u, .)`` (dense vector)."""
     sc = math.sqrt(c)
     rng = np.random.default_rng(seed)
-    if n_samples is None:
-        n_samples = max(1, math.ceil(
-            KAPPA * math.log(max(g.n, 2) / delta) / eps_a ** 2))
+    n_samples = max(1, math.ceil(
+        KAPPA * math.log(max(g.n, 2) / delta) / eps_a ** 2))
     if prune is None:
         prune = eps_a * (1.0 - sc) / 8.0
     walks = g.sqrt_c_walks(np.full(n_samples, u, dtype=np.int64), sc,
-                           max_walk_len, rng)
+                           MAX_WALK_LEN, rng)
     scores = np.zeros(g.n)
     n_probes = 0
     for i in range(n_samples):
         walk = walks[i]
-        t = int(np.argmax(walk < 0) - 1) if (walk < 0).any() else max_walk_len
+        t = int(np.argmax(walk < 0) - 1) if (walk < 0).any() else MAX_WALK_LEN
         for ell in range(1, t + 1):
             n_probes += 1
             vec = np.zeros(g.n)

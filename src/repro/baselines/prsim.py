@@ -22,20 +22,30 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.graphs.csr import CSRGraph
 
 
-def estimate_eta(g: CSRGraph, *, c: float = 0.6, n_samples: int = 600,
-                 max_steps: int = 48, seed: int = 0) -> np.ndarray:
+#: Steps each coupled pair of ``estimate_eta`` walks (it goes on w.p. c).
+ETA_MAX_STEPS = 48
+
+
+def eta_samples(eps_a: float) -> int:
+    """Coupled pairs per node for the index's ``eta``: 1/eps_a^2-ish growth,
+    bounded for tractability (PRSim's and SLING's indexes alike)."""
+    return int(min(5000, max(200, 4.0 / eps_a ** 2)))
+
+
+def estimate_eta(g: CSRGraph, *, c: float = 0.6, n_samples: int,
+                 seed: int = 0) -> np.ndarray:
     """``eta(w)`` = P[two sqrt(c)-walks from w never meet again], estimated
     for every node at once with ``n_samples`` coupled pairs per node."""
     cur1 = np.repeat(np.arange(g.n, dtype=np.int64), n_samples)
     met = g.coupled_meetings(cur1, cur1.copy(), np.ones(cur1.size, dtype=bool),
-                             c, max_steps, np.random.default_rng(seed))
+                             c, ETA_MAX_STEPS, np.random.default_rng(seed))
     return (~met).reshape(g.n, n_samples).mean(axis=1)
 
 
@@ -48,7 +58,6 @@ class PRSimIndex:
     theta: float
     build_time: float = 0.0
     index_bytes: int = 0
-    eta_samples: int = field(default=600)
 
 
 def _reverse_vectors(g: CSRGraph, w: int, Lmax: int, sc: float,
@@ -69,28 +78,23 @@ def _reverse_vectors(g: CSRGraph, w: int, Lmax: int, sc: float,
 
 
 def build_index(g: CSRGraph, *, c: float = 0.6, eps_a: float = 0.1,
-                seed: int = 0, n_hubs: int | None = None,
-                eta_samples: int | None = None) -> PRSimIndex:
+                seed: int = 0) -> PRSimIndex:
     """Preprocess: hub reverse vectors + eta estimates (see module doc)."""
     t0 = time.perf_counter()
     sc = math.sqrt(c)
     theta = eps_a * (1.0 - sc) / 2.0
     Lmax = max(1, int(math.floor(math.log(1.0 / theta) / math.log(1.0 / sc))))
-    if n_hubs is None:
-        n_hubs = int(math.ceil(math.sqrt(g.n)))
-    if eta_samples is None:
-        # 1/eps_a^2-ish growth, bounded for tractability.
-        eta_samples = int(min(5000, max(200, 4.0 / eps_a ** 2)))
+    n_hubs = int(math.ceil(math.sqrt(g.n)))
     hubs = np.sort(np.argsort(g.in_deg)[::-1][:n_hubs].astype(np.int64))
     hub_vectors = {int(w): _reverse_vectors(g, int(w), Lmax, sc, theta / 2)
                    for w in hubs}
-    eta = estimate_eta(g, c=c, n_samples=eta_samples, seed=seed)
+    eta = estimate_eta(g, c=c, n_samples=eta_samples(eps_a), seed=seed)
     nbytes = eta.nbytes + hubs.nbytes + sum(
         a.nbytes + b.nbytes for vecs in hub_vectors.values()
         for a, b in vecs)
     return PRSimIndex(hubs=hubs, hub_vectors=hub_vectors, eta=eta, Lmax=Lmax,
                       theta=theta, build_time=time.perf_counter() - t0,
-                      index_bytes=nbytes, eta_samples=eta_samples)
+                      index_bytes=nbytes)
 
 
 def query(g: CSRGraph, idx: PRSimIndex, u: int, *, eps_a: float,

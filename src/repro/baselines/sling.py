@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.baselines.exact import dense_wt
-from repro.baselines.prsim import estimate_eta
+from repro.baselines.prsim import estimate_eta, eta_samples
 from repro.graphs.csr import CSRGraph
 
 MAX_INDEX_N = 4000  # dense level matrices: hard cap for tractability
@@ -49,7 +49,7 @@ class SLINGIndex:
 
 
 def build_index(g: CSRGraph, *, c: float = 0.6, eps_a: float = 0.1,
-                seed: int = 0, eta_samples: int | None = None) -> SLINGIndex:
+                seed: int = 0) -> SLINGIndex:
     """Materialise every ``h^(l)(v, w) >= eps_a`` plus eta (module doc)."""
     if g.n > MAX_INDEX_N:
         raise MemoryError(
@@ -67,9 +67,7 @@ def build_index(g: CSRGraph, *, c: float = 0.6, eps_a: float = 0.1,
         if not h_tr.any():
             break
         levels.append(h_tr)
-    if eta_samples is None:
-        eta_samples = int(min(5000, max(200, 4.0 / eps_a ** 2)))
-    eta = estimate_eta(g, c=c, n_samples=eta_samples, seed=seed)
+    eta = estimate_eta(g, c=c, n_samples=eta_samples(eps_a), seed=seed)
     nnz = sum(int((m > 0).sum()) for m in levels)
     return SLINGIndex(levels=levels, eta=eta, eps_a=eps_a,
                       build_time=time.perf_counter() - t0,

@@ -3,7 +3,7 @@
 Expands the meeting tree from the query node to a fixed depth ``T``: a
 forward push computes ``h^(l)(u, .)`` keeping the top-``H`` entries per
 level; each surviving meeting node ``w`` then reverse-pushes ``h^(l)(., w)``
-back to level 0, pruning values below ``eta_prune`` and not propagating
+back to level 0, pruning values below ``ETA_PRUNE`` and not propagating
 *through* high-degree nodes (in-degree above ``1/h``, the original's
 degree threshold). Scores accumulate ``h^(l)(u,w) * h^(l)(v,w)`` with no
 last-meeting correction.
@@ -21,8 +21,12 @@ import numpy as np
 from repro.graphs.csr import CSRGraph
 
 
+#: The original's pruning threshold for the reverse pushes.
+ETA_PRUNE = 0.001
+
+
 def topsim(g: CSRGraph, u: int, *, c: float = 0.6, T: int = 3, H: int = 100,
-           eta_prune: float = 0.001, inv_h: int = 100) -> np.ndarray:
+           inv_h: int = 100) -> np.ndarray:
     """Single-source TopSim estimate (dense vector)."""
     sc = math.sqrt(c)
     scores = np.zeros(g.n)
@@ -43,7 +47,7 @@ def topsim(g: CSRGraph, u: int, *, c: float = 0.6, T: int = 3, H: int = 100,
             rev[w] = 1.0
             for d in range(ell):
                 rev = g.push_to_out_neighbors(rev, sc)
-                rev[rev < eta_prune] = 0.0
+                rev[rev < ETA_PRUNE] = 0.0
                 if d < ell - 1:  # trim walks through high-degree nodes
                     rev[high_deg] = 0.0
             scores += fwd[w] * rev

@@ -21,11 +21,14 @@ import numpy as np
 from repro.graphs.csr import CSRGraph
 
 
+#: Steps of each query walk, and of the one-way chains it meets.
+DEPTH = 10
+
+
 @dataclass
 class TSFIndex:
     owg: np.ndarray            # (R_g, n) int32 sampled in-neighbour, -1 none
     R_g: int
-    depth: int
     build_time: float = 0.0
 
     @property
@@ -33,8 +36,7 @@ class TSFIndex:
         return int(self.owg.nbytes)
 
 
-def build_index(g: CSRGraph, *, R_g: int = 100, depth: int = 10,
-                seed: int = 0) -> TSFIndex:
+def build_index(g: CSRGraph, *, R_g: int = 100, seed: int = 0) -> TSFIndex:
     """Sample ``R_g`` one-way graphs (one in-neighbour per node each)."""
     t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
@@ -42,8 +44,7 @@ def build_index(g: CSRGraph, *, R_g: int = 100, depth: int = 10,
     owg = np.full((R_g, g.n), -1, dtype=np.int32)
     for i in range(R_g):
         owg[i, has] = g.random_in_neighbor(has, rng)
-    return TSFIndex(owg=owg, R_g=R_g, depth=depth,
-                    build_time=time.perf_counter() - t0)
+    return TSFIndex(owg=owg, R_g=R_g, build_time=time.perf_counter() - t0)
 
 
 def query(g: CSRGraph, idx: TSFIndex, u: int, *, c: float = 0.6,
@@ -51,30 +52,21 @@ def query(g: CSRGraph, idx: TSFIndex, u: int, *, c: float = 0.6,
     """Single-source estimate (module doc); normalised by ``R_g * R_q``."""
     rng = np.random.default_rng(seed)
     scores = np.zeros(g.n)
-    decay = c ** np.arange(1, idx.depth + 1)
+    decay = c ** np.arange(1, DEPTH + 1)
     for gi in range(idx.R_g):
         ow = idx.owg[gi].astype(np.int64)
         # Deterministic one-way chains for every node: pos[l] = chain @ l.
-        pos = np.empty((idx.depth + 1, g.n), dtype=np.int64)
+        pos = np.empty((DEPTH + 1, g.n), dtype=np.int64)
         pos[0] = np.arange(g.n)
-        for step in range(1, idx.depth + 1):
+        for step in range(1, DEPTH + 1):
             prev = pos[step - 1]
             pos[step] = np.where(prev >= 0, ow[np.maximum(prev, 0)], -1)
-        for _ in range(R_q):
-            # Plain random walk from u over G's in-edges (no decay; the
-            # estimator applies c^l at meetings, as in the original).
-            walk = np.full(idx.depth + 1, -1, dtype=np.int64)
-            walk[0] = u
-            cur = u
-            for step in range(1, idx.depth + 1):
-                if g.in_deg[cur] == 0:
-                    break
-                cur = int(g.random_in_neighbor(np.array([cur]), rng)[0])
-                walk[step] = cur
-            valid = walk[1:] >= 0
-            if not valid.any():
-                continue
-            meets = (pos[1:] == walk[1:, None]) & valid[:, None]
+        # Plain random walks from u over G's in-edges (sqrt_c = 1: no decay;
+        # the estimator applies c^l at meetings, as in the original).
+        walks = g.sqrt_c_walks(np.full(R_q, u, dtype=np.int64), 1.0, DEPTH,
+                               rng)
+        for walk in walks[:, 1:]:
+            meets = (pos[1:] == walk[:, None]) & (walk >= 0)[:, None]
             scores += decay @ meets
     scores /= idx.R_g * R_q
     scores[u] = 1.0

@@ -45,6 +45,9 @@ SETTINGS: dict[str, list] = {
 
 ALL_METHODS = list(SETTINGS)
 
+#: Seconds one query may take before the rest of its setting is excluded.
+QUERY_TIME_BUDGET = 120.0
+
 #: SimPush's per-query statistics: ``L``, ``|A_u|``, ``G_u``, stage times.
 SIMPUSH_STATS = tuple(f.name for f in fields(SimPushResult)
                       if f.name != "scores")
@@ -103,8 +106,7 @@ def stage_ms(stats: dict) -> dict:
 
 def run_setting(g: CSRGraph, method: str, s, queries: np.ndarray, *,
                 c: float = 0.6, delta: float = 1e-4, seed: int = 0,
-                walks_cap: int = 2_000_000,
-                query_time_budget: float = 120.0) -> RunRecord:
+                walks_cap: int = 2_000_000) -> RunRecord:
     """Build (if index-based) and run every query; returns the record with
     per-query score vectors attached (metrics are filled in by sweep).
     The one timed query loop: the sweep and the timing jobs in ``jobs/`` run
@@ -153,7 +155,7 @@ def run_setting(g: CSRGraph, method: str, s, queries: np.ndarray, *,
         dt = time.perf_counter() - t0
         times.append(dt)
         rec.scores.append(scores)
-        if dt > query_time_budget:
+        if dt > QUERY_TIME_BUDGET:
             rec.excluded = f"query time {dt:.1f}s > budget"
             break
     rec.query_time = float(np.mean(times)) if times else math.nan
@@ -169,7 +171,6 @@ def sweep(dataset: str, methods: list[str] | None = None, *,
           delta: float = 1e-4, seed: int = 0,
           settings_idx: list[int] | None = None,
           index_budget_bytes: int = 3 << 30,
-          query_time_budget: float = 120.0,
           walks_cap: int = 2_000_000,
           gt_samples: int = 100_000) -> pd.DataFrame:
     """Run the full tradeoff sweep on one dataset analog and return the
@@ -193,8 +194,7 @@ def sweep(dataset: str, methods: list[str] | None = None, *,
                 records.append(rec)
                 continue
             rec = run_setting(g, method, s, queries, c=c, delta=delta,
-                              seed=seed, walks_cap=walks_cap,
-                              query_time_budget=query_time_budget)
+                              seed=seed, walks_cap=walks_cap)
             rec.dataset = dataset
             records.append(rec)
     _fill_metrics(g, dataset, queries, records, k=k, c=c, seed=seed,
@@ -218,10 +218,9 @@ def _fill_metrics(g: CSRGraph, dataset: str, queries: np.ndarray,
                   records: list[RunRecord], *, k: int, c: float,
                   seed: int, gt_samples: int) -> None:
     """Attach AvgError@k / Precision@k to each record, using the exact
-    oracle (small suite) or pooled MC (large suite)."""
-    small = dataset in datasets.SMALL or g.n <= 2600
+    oracle on graphs of n <= 2600 (the small suite) or pooled MC (larger)."""
     gts: list[metrics.GroundTruth] = []
-    if small:
+    if g.n <= 2600:
         s_matrix = exact_simrank_cached(g, c=c, tag=dataset)
         for u in queries:
             gts.append(metrics.exact_ground_truth(s_matrix[int(u)], int(u), k))

@@ -22,7 +22,8 @@ paper). The primitives and their callers:
   sampled ``h^(l)(u, .)``.
 * ``coupled_meetings`` — coupled walk pairs run until they meet: the MC
   ground truth (``pair_meeting_probability``) and PRSim's/SLING's ``eta``.
-* ``sqrt_c_walks`` — walks that keep every position: ProbeSim and READS.
+* ``sqrt_c_walks`` — walks that keep every position: ProbeSim, READS and
+  TSF's query (``sqrt_c = 1``: plain walks to a sink or ``max_steps``).
   Kept apart from ``level_visits``: detect_L built
   on it ran 13–16 % slower.
 * ``random_in_neighbor`` — every walk's step, for nodes with an in-neighbour
@@ -31,7 +32,7 @@ paper). The primitives and their callers:
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,8 +52,8 @@ class CSRGraph:
     out_idx: np.ndarray
     in_ptr: np.ndarray
     in_idx: np.ndarray
-    out_deg: np.ndarray = field(default=None)
-    in_deg: np.ndarray = field(default=None)
+    out_deg: np.ndarray
+    in_deg: np.ndarray
 
     @property
     def m(self) -> int:

@@ -26,13 +26,19 @@ from pyspark.sql import DataFrame, SparkSession
 
 from repro.graphs.csr import simple_edges
 
+#: ``powerlaw``'s share of targets drawn by preferential attachment.
+ATTACH_BIAS = 0.8
+#: ``social``'s shares of base edges mirrored and closed into triangles.
+RECIPROCITY = 0.4
+CLOSURE = 0.3
 
-def powerlaw(n: int, avg_out_deg: int, *, seed: int = 0,
-             attach_bias: float = 0.8) -> tuple[np.ndarray, np.ndarray]:
+
+def powerlaw(n: int, avg_out_deg: int, *, seed: int = 0
+             ) -> tuple[np.ndarray, np.ndarray]:
     """Directed preferential-attachment graph.
 
     Node ``i`` (added in order) emits ``~avg_out_deg`` edges; each target is
-    with probability ``attach_bias`` a uniformly-sampled *endpoint of an
+    with probability ``ATTACH_BIAS`` a uniformly-sampled *endpoint of an
     existing edge* (the Batagelj–Brandes trick — proportional to current
     in-degree, yielding a power-law in-degree tail) and otherwise a uniform
     random earlier node.
@@ -44,7 +50,7 @@ def powerlaw(n: int, avg_out_deg: int, *, seed: int = 0,
     ep_len = 1
     for i in range(1, n):
         k = 1 + rng.poisson(max(avg_out_deg - 1, 0))
-        use_pa = rng.random(k) < attach_bias
+        use_pa = rng.random(k) < ATTACH_BIAS
         t_pa = ep[rng.integers(0, ep_len, k)]
         t_uni = rng.integers(0, i, k)
         targets = np.where(use_pa, t_pa, t_uni)
@@ -59,13 +65,12 @@ def powerlaw(n: int, avg_out_deg: int, *, seed: int = 0,
     return simple_edges(src, dst, n)
 
 
-def social(n: int, avg_out_deg: int, *, seed: int = 0,
-           reciprocity: float = 0.4, closure: float = 0.3
+def social(n: int, avg_out_deg: int, *, seed: int = 0
            ) -> tuple[np.ndarray, np.ndarray]:
     """Locally-dense social graph: power-law base + reciprocated edges +
     triadic-closure edges (follow a friend's friend).
 
-    ``reciprocity`` is the fraction of base edges mirrored; ``closure`` is
+    ``RECIPROCITY`` is the fraction of base edges mirrored; ``CLOSURE`` is
     the fraction of base edges extended with an edge to a random out-
     neighbour of the target — this raises local density, the property that
     makes Twitter "hard" for SimRank per the paper's §5.2 discussion.
@@ -73,11 +78,11 @@ def social(n: int, avg_out_deg: int, *, seed: int = 0,
     rng = np.random.default_rng(seed)
     src, dst = powerlaw(n, avg_out_deg, seed=seed + 1)
     m = src.shape[0]
-    rec = rng.random(m) < reciprocity
+    rec = rng.random(m) < RECIPROCITY
     r_src, r_dst = dst[rec], src[rec]
     # Triadic closure: for a sampled edge (a, b), add (a, c) where c is a
     # uniformly-sampled out-neighbour of b (via one join-like gather).
-    clo = np.flatnonzero(rng.random(m) < closure)
+    clo = np.flatnonzero(rng.random(m) < CLOSURE)
     order = np.argsort(src, kind="stable")
     s_src, s_dst = src[order], dst[order]
     deg = np.bincount(s_src, minlength=n)

@@ -106,14 +106,6 @@ def test_convergence_with_iterations():
     assert (s_long - s_short).min() >= -1e-12
 
 
-def test_dense_and_segment_paths_agree(monkeypatch):
-    g = helpers.graph("social")
-    s_dense = exact_simrank(g)
-    monkeypatch.setattr(exact_mod, "_DENSE_BLAS_MAX_N", 0)
-    s_seg = exact_simrank(g)
-    assert np.abs(s_dense - s_seg).max() < 1e-12
-
-
 def test_cached_roundtrip(tmp_path, monkeypatch):
     monkeypatch.setattr(exact_mod, "_CACHE_DIR", str(tmp_path))
     g = helpers.graph("cycle")
@@ -122,6 +114,23 @@ def test_cached_roundtrip(tmp_path, monkeypatch):
     assert len(files) == 1
     s2 = exact_simrank_cached(g, tag="t")
     np.testing.assert_array_equal(s1, s2)
+
+
+def test_cache_write_cut_short_leaves_no_file(tmp_path, monkeypatch):
+    """A write that fails part-way (a sweep killed mid-save) leaves nothing
+    in the cache, so the next run recomputes instead of loading a
+    truncated matrix."""
+    monkeypatch.setattr(exact_mod, "_CACHE_DIR", str(tmp_path))
+
+    def save_part(path, arr):
+        with open(path, "wb") as f:
+            f.write(b"\x93NUMPY partial")
+        raise OSError("killed mid-write")
+
+    monkeypatch.setattr(exact_mod.np, "save", save_part)
+    with pytest.raises(OSError, match="mid-write"):
+        exact_simrank_cached(helpers.graph("cycle"), tag="t")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_iteration_df_matches_duckdb(spark):

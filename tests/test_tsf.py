@@ -39,6 +39,17 @@ def test_rough_accuracy(name):
     assert got[5] == 1.0
 
 
+def test_query_from_sink_is_unit_vector():
+    """Walks from a node with no in-neighbour stop at once and meet no
+    chain, so only ``s(u, u) = 1`` is left."""
+    g = helpers.graph("chain")
+    assert g.in_deg[29] == 0
+    got = query(g, build_index(g, R_g=20, seed=0), 29, R_q=5, seed=0)
+    expected = np.zeros(g.n)
+    expected[29] = 1.0
+    np.testing.assert_array_equal(got, expected)
+
+
 def test_multiple_meetings_overestimate():
     """TSF counts every meeting with c^l decay and allows re-meetings:
     averaged over seeds, its estimates sit above the exact first-meeting
