@@ -21,7 +21,6 @@ governed by ``eps_a``.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,8 +55,7 @@ class PRSimIndex:
     eta: np.ndarray
     Lmax: int
     theta: float
-    build_time: float = 0.0
-    index_bytes: int = 0
+    index_bytes: int
 
 
 def _reverse_vectors(g: CSRGraph, w: int, Lmax: int, sc: float,
@@ -80,7 +78,6 @@ def _reverse_vectors(g: CSRGraph, w: int, Lmax: int, sc: float,
 def build_index(g: CSRGraph, *, c: float = 0.6, eps_a: float = 0.1,
                 seed: int = 0) -> PRSimIndex:
     """Preprocess: hub reverse vectors + eta estimates (see module doc)."""
-    t0 = time.perf_counter()
     sc = math.sqrt(c)
     theta = eps_a * (1.0 - sc) / 2.0
     Lmax = max(1, int(math.floor(math.log(1.0 / theta) / math.log(1.0 / sc))))
@@ -93,8 +90,7 @@ def build_index(g: CSRGraph, *, c: float = 0.6, eps_a: float = 0.1,
         a.nbytes + b.nbytes for vecs in hub_vectors.values()
         for a, b in vecs)
     return PRSimIndex(hubs=hubs, hub_vectors=hub_vectors, eta=eta, Lmax=Lmax,
-                      theta=theta, build_time=time.perf_counter() - t0,
-                      index_bytes=nbytes)
+                      theta=theta, index_bytes=nbytes)
 
 
 def query(g: CSRGraph, idx: PRSimIndex, u: int, *, eps_a: float,

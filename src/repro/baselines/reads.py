@@ -10,7 +10,6 @@ same step) — the coupled-MC estimator with walks amortised into an index.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,8 +21,6 @@ from repro.graphs.csr import CSRGraph
 class READSIndex:
     walks: np.ndarray          # (r, t+1, n) int32 positions, -1 = stopped
     r: int
-    t: int
-    build_time: float = 0.0
 
     @property
     def index_bytes(self) -> int:
@@ -33,15 +30,13 @@ class READSIndex:
 def build_index(g: CSRGraph, *, c: float = 0.6, r: int = 100, t: int = 10,
                 seed: int = 0) -> READSIndex:
     """Sample and store ``r`` depth-``t`` sqrt(c)-walks per node."""
-    t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
     sc = math.sqrt(c)
     all_nodes = np.arange(g.n, dtype=np.int64)
     walks = np.empty((r, t + 1, g.n), dtype=np.int32)
     for i in range(r):
         walks[i] = g.sqrt_c_walks(all_nodes, sc, t, rng).T.astype(np.int32)
-    return READSIndex(walks=walks, r=r, t=t,
-                      build_time=time.perf_counter() - t0)
+    return READSIndex(walks=walks, r=r)
 
 
 def query(g: CSRGraph, idx: READSIndex, u: int) -> np.ndarray:

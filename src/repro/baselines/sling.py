@@ -15,7 +15,6 @@ rule excludes it from larger datasets exactly like the paper's server did.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,9 +42,7 @@ def theta_lmax(eps_a: float, c: float) -> tuple[float, int]:
 class SLINGIndex:
     levels: list[np.ndarray]   # H_l (dense, thresholded), l = 1..Lmax
     eta: np.ndarray
-    eps_a: float
-    build_time: float = 0.0
-    index_bytes: int = 0       # nnz * 16 (node id + float per entry)
+    index_bytes: int           # nnz * 16 (node id + float per entry)
 
 
 def build_index(g: CSRGraph, *, c: float = 0.6, eps_a: float = 0.1,
@@ -54,7 +51,6 @@ def build_index(g: CSRGraph, *, c: float = 0.6, eps_a: float = 0.1,
     if g.n > MAX_INDEX_N:
         raise MemoryError(
             f"SLING dense index disabled for n={g.n} > {MAX_INDEX_N}")
-    t0 = time.perf_counter()
     sc = math.sqrt(c)
     theta, Lmax = theta_lmax(eps_a, c)
     wt = dense_wt(g)
@@ -69,8 +65,7 @@ def build_index(g: CSRGraph, *, c: float = 0.6, eps_a: float = 0.1,
         levels.append(h_tr)
     eta = estimate_eta(g, c=c, n_samples=eta_samples(eps_a), seed=seed)
     nnz = sum(int((m > 0).sum()) for m in levels)
-    return SLINGIndex(levels=levels, eta=eta, eps_a=eps_a,
-                      build_time=time.perf_counter() - t0,
+    return SLINGIndex(levels=levels, eta=eta,
                       index_bytes=nnz * 16 + eta.nbytes)
 
 

@@ -13,7 +13,6 @@ no-cycle assumption's failure. Tests pin the resulting positive bias.
 """
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,7 +28,6 @@ DEPTH = 10
 class TSFIndex:
     owg: np.ndarray            # (R_g, n) int32 sampled in-neighbour, -1 none
     R_g: int
-    build_time: float = 0.0
 
     @property
     def index_bytes(self) -> int:
@@ -38,13 +36,12 @@ class TSFIndex:
 
 def build_index(g: CSRGraph, *, R_g: int = 100, seed: int = 0) -> TSFIndex:
     """Sample ``R_g`` one-way graphs (one in-neighbour per node each)."""
-    t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
     has = np.flatnonzero(g.in_deg > 0)
     owg = np.full((R_g, g.n), -1, dtype=np.int32)
     for i in range(R_g):
         owg[i, has] = g.random_in_neighbor(has, rng)
-    return TSFIndex(owg=owg, R_g=R_g, build_time=time.perf_counter() - t0)
+    return TSFIndex(owg=owg, R_g=R_g)
 
 
 def query(g: CSRGraph, idx: TSFIndex, u: int, *, c: float = 0.6,

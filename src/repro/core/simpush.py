@@ -46,6 +46,7 @@ import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
+from pyspark.sql import types as T
 
 from repro.core import alg1
 from repro.core.params import DEFAULT_WALKS_CAP, SimPushParams
@@ -64,7 +65,13 @@ class GraphFrames:
     @classmethod
     def build(cls, edges: DataFrame) -> "GraphFrames":
         """Self-loops and duplicate edges are dropped, as in
-        ``csr.from_edges`` (SimRank's definition assumes a simple graph)."""
+        ``csr.from_edges`` (SimRank's definition assumes a simple graph).
+        ``src`` and ``dst`` must be integer columns, else ``ValueError``."""
+        for col in ("src", "dst"):
+            dtype = edges.schema[col].dataType
+            if not isinstance(dtype, T.IntegralType):
+                raise ValueError(f"edge column {col!r} is "
+                                 f"{dtype.simpleString()}, not an integer")
         edges = (edges.select(F.col("src").cast("long"),
                               F.col("dst").cast("long"))
                  .where(F.col("src") != F.col("dst")).distinct().cache())
@@ -213,11 +220,12 @@ def hitting_df(spark: SparkSession, gu_edges: DataFrame, att: AttentionSet,
         state = cur.unionByName(seeds_at(lvl))
     rows = _union(recorded, spark,
                   "node long, t long, val double, slevel int").toPandas()
-    # A (level, node) pair as one int64 key; ascending in att's order.
-    span = int(att.nodes.max()) + 1
-    src = np.searchsorted(att.levels * span + att.nodes,
+    # (level, node - lo) as one int64 key, ascending in att's order.
+    lo = int(att.nodes.min())
+    span = int(att.nodes.max()) - lo + 1
+    src = np.searchsorted(att.levels * span + att.nodes - lo,
                           rows["slevel"].to_numpy(np.int64) * span
-                          + rows["node"].to_numpy(np.int64))
+                          + rows["node"].to_numpy(np.int64) - lo)
     hAA[src, rows["t"].to_numpy(np.int64)] = rows["val"].to_numpy()
     return hAA
 

@@ -2,12 +2,14 @@
 Figures 4–7 (as tables) and the in-text claims.
 
 One ``sweep()`` call runs every requested (method, setting) pair over a
-dataset's query set, collecting per-query scores, query/build wall times,
-and accounted memory; ground truth is the exact oracle on the small suite
-and the paper's pooling procedure on the large suite; metrics follow
-§5.1. Settings whose index would not fit the memory budget, or whose
-first query blows the per-query time budget, are recorded as *excluded* —
-the same rule the paper applies on its 376 GB server (§5.2).
+dataset's query set through ``run_setting``, the one clock, which times
+every index build as well as every query; it collects per-query scores and
+accounted memory. Ground truth is the exact oracle on the small suite and
+the paper's pooling procedure on the large suite; metrics follow §5.1 at
+the paper's setting ``C``, ``DELTA``, ``TOP_K``. Settings whose index would
+not fit the memory budget, or whose first query blows the per-query time
+budget, are recorded as *excluded* — the same rule the paper applies on its
+376 GB server (§5.2).
 """
 from __future__ import annotations
 
@@ -44,6 +46,12 @@ SETTINGS: dict[str, list] = {
 }
 
 ALL_METHODS = list(SETTINGS)
+
+#: SimRank's decay factor, the failure probability and the k of
+#: ``avg_error@50`` / ``precision@50``: the paper's §5.1 setting.
+C = 0.6
+DELTA = 1e-4
+TOP_K = 50
 
 #: Seconds one query may take before the rest of its setting is excluded.
 QUERY_TIME_BUDGET = 120.0
@@ -105,24 +113,29 @@ def stage_ms(stats: dict) -> dict:
 
 
 def run_setting(g: CSRGraph, method: str, s, queries: np.ndarray, *,
-                c: float = 0.6, delta: float = 1e-4, seed: int = 0,
-                walks_cap: int = 2_000_000) -> RunRecord:
+                seed: int = 0, walks_cap: int = 2_000_000) -> RunRecord:
     """Build (if index-based) and run every query; returns the record with
     per-query score vectors attached (metrics are filled in by sweep).
-    The one timed query loop: the sweep and the timing jobs in ``jobs/`` run
-    through it. Query ``i`` is seeded ``seed + i``."""
+    The one clock: it times each index build and each query, and the sweep
+    and the timing jobs in ``jobs/`` run through it. Query ``i`` is seeded
+    ``seed + i``."""
+    if method not in SETTINGS:
+        raise ValueError(f"unknown method {method!r}; the methods are "
+                         + ", ".join(SETTINGS))
     rec = RunRecord(dataset="", method=method, setting=_setting_str(method, s))
     index = None
+    t0 = time.perf_counter()
     if method == "prsim":
-        index = _prsim.build_index(g, c=c, eps_a=s, seed=seed)
+        index = _prsim.build_index(g, c=C, eps_a=s, seed=seed)
     elif method == "sling":
-        index = _sling.build_index(g, c=c, eps_a=s, seed=seed)
+        index = _sling.build_index(g, c=C, eps_a=s, seed=seed)
     elif method == "reads":
-        index = _reads.build_index(g, c=c, r=s[0], t=s[1], seed=seed)
+        index = _reads.build_index(g, c=C, r=s[0], t=s[1], seed=seed)
     elif method == "tsf":
         index = _tsf.build_index(g, R_g=s[0], seed=seed)
     if index is not None:
-        rec.build_time, rec.index_bytes = index.build_time, index.index_bytes
+        rec.build_time = time.perf_counter() - t0
+        rec.index_bytes = index.index_bytes
 
     times, stats = [], []
     qbytes = memory.generic_query_bytes(g)
@@ -130,28 +143,26 @@ def run_setting(g: CSRGraph, method: str, s, queries: np.ndarray, *,
         u = int(u)
         t0 = time.perf_counter()
         if method == "simpush":
-            r = simpush_local(g, u, c=c, eps=s, delta=delta,
+            r = simpush_local(g, u, c=C, eps=s, delta=DELTA,
                               seed=seed + qi, walks_cap=walks_cap)
             scores = r.scores
             stats.append([getattr(r, k) for k in SIMPUSH_STATS])
             qbytes = max(qbytes, memory.simpush_query_bytes(g, r.L))
         elif method == "probesim":
-            scores = _probesim.probesim(g, u, c=c, eps_a=s, delta=delta,
+            scores = _probesim.probesim(g, u, c=C, eps_a=s, delta=DELTA,
                                         seed=seed + qi).scores
         elif method == "prsim":
-            scores = _prsim.query(g, index, u, c=c, delta=delta, eps_a=s,
+            scores = _prsim.query(g, index, u, c=C, delta=DELTA, eps_a=s,
                                   seed=seed + qi)
             qbytes = memory.prsim_query_bytes(g, index.Lmax)
         elif method == "sling":
-            scores = _sling.query(g, index, u, c=c)
+            scores = _sling.query(g, index, u, c=C)
         elif method == "reads":
             scores = _reads.query(g, index, u)
         elif method == "tsf":
-            scores = _tsf.query(g, index, u, c=c, R_q=s[1], seed=seed + qi)
+            scores = _tsf.query(g, index, u, c=C, R_q=s[1], seed=seed + qi)
         elif method == "topsim":
-            scores = _topsim.topsim(g, u, c=c, T=s[0], inv_h=s[1])
-        else:  # pragma: no cover - registry is static
-            raise ValueError(method)
+            scores = _topsim.topsim(g, u, c=C, T=s[0], inv_h=s[1])
         dt = time.perf_counter() - t0
         times.append(dt)
         rec.scores.append(scores)
@@ -167,11 +178,8 @@ def run_setting(g: CSRGraph, method: str, s, queries: np.ndarray, *,
 
 
 def sweep(dataset: str, methods: list[str] | None = None, *,
-          k: int = 50, n_queries: int = 5, c: float = 0.6,
-          delta: float = 1e-4, seed: int = 0,
-          settings_idx: list[int] | None = None,
+          n_queries: int = 5, settings_idx: list[int] | None = None,
           index_budget_bytes: int = 3 << 30,
-          walks_cap: int = 2_000_000,
           gt_samples: int = 100_000) -> pd.DataFrame:
     """Run the full tradeoff sweep on one dataset analog and return the
     tidy results table (one row per method x setting)."""
@@ -184,7 +192,7 @@ def sweep(dataset: str, methods: list[str] | None = None, *,
         if settings_idx is not None:
             grid = [grid[i] for i in settings_idx if i < len(grid)]
         for s in grid:
-            est = _estimated_index_bytes(method, s, g, c)
+            est = _estimated_index_bytes(method, s, g, C)
             if est > index_budget_bytes or (
                     method == "sling" and g.n > _sling.MAX_INDEX_N):
                 rec = RunRecord(dataset=dataset, method=method,
@@ -193,12 +201,10 @@ def sweep(dataset: str, methods: list[str] | None = None, *,
                                 excluded="index exceeds memory budget")
                 records.append(rec)
                 continue
-            rec = run_setting(g, method, s, queries, c=c, delta=delta,
-                              seed=seed, walks_cap=walks_cap)
+            rec = run_setting(g, method, s, queries)
             rec.dataset = dataset
             records.append(rec)
-    _fill_metrics(g, dataset, queries, records, k=k, c=c, seed=seed,
-                  gt_samples=gt_samples)
+    _fill_metrics(g, dataset, queries, records, gt_samples=gt_samples)
     rows = []
     for r in records:
         rows.append({
@@ -215,22 +221,22 @@ def sweep(dataset: str, methods: list[str] | None = None, *,
 
 
 def _fill_metrics(g: CSRGraph, dataset: str, queries: np.ndarray,
-                  records: list[RunRecord], *, k: int, c: float,
-                  seed: int, gt_samples: int) -> None:
-    """Attach AvgError@k / Precision@k to each record, using the exact
+                  records: list[RunRecord], *, gt_samples: int) -> None:
+    """Attach AvgError@TOP_K / Precision@TOP_K to each record, using the exact
     oracle on graphs of n <= 2600 (the small suite) or pooled MC (larger)."""
     gts: list[metrics.GroundTruth] = []
     if g.n <= 2600:
-        s_matrix = exact_simrank_cached(g, c=c, tag=dataset)
+        s_matrix = exact_simrank_cached(g, c=C, tag=dataset)
         for u in queries:
-            gts.append(metrics.exact_ground_truth(s_matrix[int(u)], int(u), k))
+            gts.append(metrics.exact_ground_truth(s_matrix[int(u)], int(u),
+                                                  TOP_K))
     else:
         for qi, u in enumerate(queries):
             per_method = [r.scores[qi] for r in records
                           if len(r.scores) > qi]
             gts.append(metrics.pooled_ground_truth(
-                g, int(u), per_method, k, c=c, n_samples=gt_samples,
-                seed=seed + 31 * qi))
+                g, int(u), per_method, TOP_K, c=C, n_samples=gt_samples,
+                seed=31 * qi))
     for r in records:
         if not r.scores:
             continue

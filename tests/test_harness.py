@@ -1,8 +1,11 @@
 """Integration tests for the tradeoff harness (eval/harness.py) and the
 headline shape claims of the paper on a small analog."""
+import time
+
 import numpy as np
 import pytest
 
+from repro.baselines import tsf
 from repro.eval import harness
 from repro.graphs import datasets
 
@@ -47,6 +50,29 @@ def test_index_methods_report_build(mini_sweep):
     assert row["index_MB"] > 0
     row2 = mini_sweep[mini_sweep["method"] == "probesim"].iloc[0]
     assert row2["build_time_s"] == 0
+
+
+def test_build_time_covers_the_whole_build_call(monkeypatch):
+    """The harness times each build around the ``build_index`` call, so a
+    build that takes 0.2 s is reported as taking at least 0.2 s."""
+    real = tsf.build_index
+
+    def slow_build(*args, **kwargs):
+        time.sleep(0.2)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(tsf, "build_index", slow_build)
+    g = datasets.load("in2004_analog")
+    queries = datasets.query_nodes("in2004_analog", 1)
+    assert harness.run_setting(g, "tsf", (10, 2), queries).build_time >= 0.2
+
+
+def test_run_setting_rejects_an_unknown_method():
+    g = datasets.load("in2004_analog")
+    queries = datasets.query_nodes("in2004_analog", 1)
+    for s, q in ((0.1, queries), ((1, 10), queries[:0])):
+        with pytest.raises(ValueError, match="unknown method 'simrank'.*tsf"):
+            harness.run_setting(g, "simrank", s, q)
 
 
 def test_memory_budget_exclusion():

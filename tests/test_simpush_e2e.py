@@ -228,6 +228,32 @@ def test_df_engine_matches_local(spark, u, eps):
     np.testing.assert_allclose(dense, local.scores, atol=1e-9)
 
 
+def test_df_engine_matches_local_on_negative_node_ids(spark):
+    """Every node but u = 4 relabelled -(v + 1): Alg. 3's (level, node) key
+    must stay ascending in A_u's order for negative ids too."""
+    u = 4
+    src, dst = generators.social(150, 4, seed=13)
+    g = from_edges(src, dst, n=150)
+    edges = generators.to_spark(spark, *(np.where(ids == u, u, -(ids + 1))
+                                         for ids in (src, dst)))
+    pdf = simpush_df(spark, edges, u, eps=0.1, L_override=5).toPandas()
+    v = pdf["v"].to_numpy()
+    dense = np.zeros(g.n)
+    dense[np.where(v == u, u, -v - 1)] = pdf["s"].to_numpy()
+    local = simpush_local(g, u, eps=0.1, L_override=5)
+    np.testing.assert_allclose(dense, local.scores, atol=1e-9)
+
+
+def test_df_engine_rejects_non_integer_edge_ids(spark):
+    """A cast to long read the edge 2.7 -> 0.0 as (2, 0) and a string id
+    as null, which the self-loop filter then dropped."""
+    for schema, rows in (("src double, dst double", [(2.7, 0.0), (3.2, 0.0)]),
+                         ("src string, dst string", [("a", "0"), ("1", "0")])):
+        edges = spark.createDataFrame(rows, schema)
+        with pytest.raises(ValueError, match="not an integer"):
+            simpush_df(spark, edges, 0, eps=0.1, L_override=3)
+
+
 def test_df_engine_with_mc_detection(spark):
     """Full DataFrame pipeline incl. the walker-DataFrame MC stage: the
     result must satisfy the Theorem-1 bound vs the exact oracle."""

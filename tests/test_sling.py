@@ -13,7 +13,7 @@ def test_index_levels_are_hitting_probabilities():
     ref = helpers.wt_matrix(g) * np.sqrt(0.6)
     # Level 1 must equal sqrt(c) * W^T thresholded.
     h1 = ref.copy()
-    h1[h1 < idx.eps_a * (1 - np.sqrt(0.6)) / 4] = 0.0
+    h1[h1 < 0.2 * (1 - np.sqrt(0.6)) / 4] = 0.0
     np.testing.assert_allclose(idx.levels[0], h1, atol=1e-12)
 
 
