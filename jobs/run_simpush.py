@@ -11,17 +11,18 @@ import argparse
 
 from pyspark.sql import SparkSession
 
+from repro.core.params import DEFAULT_WALKS_CAP
+
 
 def run(spark: SparkSession, dataset: str, u: int, eps: float,
-        topk: int = 20, walks_cap: int = 100_000, seed: int = 0):
+        topk: int = 20, walks_cap: int | None = DEFAULT_WALKS_CAP):
     """Generate the analog dataset, run simpush_df, return top-k rows."""
     from repro.core.simpush import simpush_df
     from repro.graphs import datasets, generators
 
     src, dst, _spec = datasets.edge_arrays(dataset)
     edges = generators.to_spark(spark, src, dst)
-    result = simpush_df(spark, edges, u, eps=eps, walks_cap=walks_cap,
-                        seed=seed)
+    result = simpush_df(spark, edges, u, eps=eps, walks_cap=walks_cap)
     return result.orderBy(result["s"].desc()).limit(topk)
 
 

@@ -8,14 +8,10 @@ any ``eps`` evaluated in the paper. The paper used 1e-6-error Monte Carlo
 as ground truth; the exact fixed point is a strictly stronger oracle
 (DESIGN.md §3).
 
-Two implementations:
-
-* :func:`exact_simrank` — numpy, two BLAS matmuls per iteration against
-  a dense ``n x n`` ``W^T`` (no scipy needed), for the small dataset suite
-  and the benchmark's exact gate (n <= 2600);
-* :func:`exact_simrank_df` — Spark DataFrame (pair-table joins), used on
-  tiny graphs to cross-validate the numpy oracle and to give the DuckDB
-  oracle a relational iteration step to check.
+One implementation, :func:`exact_simrank`: numpy, two BLAS matmuls per
+iteration against a dense ``n x n`` ``W^T`` (no scipy needed), for the
+small dataset suite and the benchmark's exact gate (n <= 2600). Tests
+check it against networkx and against hand-derived values.
 """
 from __future__ import annotations
 
@@ -23,8 +19,6 @@ import hashlib
 import os
 
 import numpy as np
-from pyspark.sql import DataFrame, SparkSession
-from pyspark.sql import functions as F
 
 from repro.graphs.csr import CSRGraph
 
@@ -80,42 +74,3 @@ def exact_simrank_cached(g: CSRGraph, *, c: float = 0.6, iters: int = 34,
             os.remove(tmp)
     return s
 
-
-def simrank_iteration_df(spark: SparkSession, edges: DataFrame,
-                         s_prev: DataFrame, c: float) -> DataFrame:
-    """One Jeh–Widom iteration as a Catalyst plan over pair table
-    ``s_prev(a, b, s)``: ``s'(i,j) = c/(d_I(i) d_I(j)) * sum_{(a,i),(b,j) in E}
-    s(a,b)`` for ``i != j``, then the diagonal is forced back to 1.
-
-    Exposed separately so tests can check a single step against DuckDB SQL.
-    """
-    d_in = edges.groupBy("dst").agg(F.count("*").alias("d")).cache()
-    e1 = edges.select(F.col("src").alias("a"), F.col("dst").alias("i"))
-    e2 = edges.select(F.col("src").alias("b"), F.col("dst").alias("j"))
-    prod = (
-        s_prev.join(e1, "a").join(e2, "b")
-        .groupBy("i", "j").agg(F.sum("s").alias("ss"))
-        .join(d_in.select(F.col("dst").alias("i"), F.col("d").alias("di")), "i")
-        .join(d_in.select(F.col("dst").alias("j"), F.col("d").alias("dj")), "j")
-        .select("i", "j",
-                (F.lit(c) * F.col("ss") / (F.col("di") * F.col("dj"))).alias("s"))
-        .where(F.col("i") != F.col("j"))
-    )
-    nodes = (edges.select(F.col("src").alias("i"))
-             .union(edges.select(F.col("dst").alias("i"))).distinct())
-    diag = nodes.select("i", F.col("i").alias("j"), F.lit(1.0).alias("s"))
-    return prod.union(diag).select(
-        F.col("i").alias("a"), F.col("j").alias("b"), "s")
-
-
-def exact_simrank_df(spark: SparkSession, edges: DataFrame, *,
-                     c: float = 0.6, iters: int = 12) -> DataFrame:
-    """Iterated :func:`simrank_iteration_df`; returns pair table
-    ``(a, b, s)`` of nonzero SimRank values. Tiny-graph use only — each
-    iteration is two shuffled joins over the pair table."""
-    nodes = (edges.select(F.col("src").alias("a"))
-             .union(edges.select(F.col("dst").alias("a"))).distinct())
-    s = nodes.select("a", F.col("a").alias("b"), F.lit(1.0).alias("s"))
-    for _ in range(iters):
-        s = simrank_iteration_df(spark, edges, s, c).localCheckpoint()
-    return s

@@ -51,20 +51,20 @@ def query(g: CSRGraph, idx: TSFIndex, u: int, *, c: float = 0.6,
     scores = np.zeros(g.n)
     decay = c ** np.arange(1, DEPTH + 1)
     for gi in range(idx.R_g):
-        ow = idx.owg[gi].astype(np.int64)
-        # Deterministic one-way chains for every node: pos[l] = chain @ l.
-        pos = np.empty((DEPTH + 1, g.n), dtype=np.int64)
-        pos[0] = np.arange(g.n)
-        for step in range(1, DEPTH + 1):
-            prev = pos[step - 1]
-            pos[step] = np.where(prev >= 0, ow[np.maximum(prev, 0)], -1)
+        # Node -1 (no in-neighbour, or a walk already stopped) reads a
+        # trailing sentinel: -1 in the one-way graph, 0 in the counts.
+        ow = np.append(idx.owg[gi], -1).astype(np.int64)
         # Plain random walks from u over G's in-edges (sqrt_c = 1: no decay;
         # the estimator applies c^l at meetings, as in the original).
         walks = g.sqrt_c_walks(np.full(R_q, u, dtype=np.int64), 1.0, DEPTH,
                                rng)
-        for walk in walks[:, 1:]:
-            meets = (pos[1:] == walk[:, None]) & (walk >= 0)[:, None]
-            scores += decay @ meets
+        chain = np.arange(g.n)   # chain[v]: v's one-way chain at this step
+        for step in range(1, DEPTH + 1):
+            chain = ow[chain]
+            at = walks[:, step]
+            # v meets every query walk that stands at chain[v] after `step`.
+            cnt = np.bincount(at[at >= 0], minlength=g.n + 1)
+            scores += decay[step - 1] * cnt[chain]
     scores /= idx.R_g * R_q
     scores[u] = 1.0
     return scores

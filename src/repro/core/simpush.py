@@ -55,7 +55,8 @@ from repro.core.source_push import AttentionSet
 
 @dataclass
 class GraphFrames:
-    """Cached per-graph DataFrames shared by all stages of one query."""
+    """Per-graph DataFrames shared by all stages of one query. The stages
+    read only ``edges_d`` and ``in_adj``, so only those two are cached."""
 
     edges: DataFrame       # (src, dst)
     in_deg: DataFrame      # (node, d_in)
@@ -74,19 +75,19 @@ class GraphFrames:
                                  f"{dtype.simpleString()}, not an integer")
         edges = (edges.select(F.col("src").cast("long"),
                               F.col("dst").cast("long"))
-                 .where(F.col("src") != F.col("dst")).distinct().cache())
+                 .where(F.col("src") != F.col("dst")).distinct())
         in_adj = (edges.groupBy(F.col("dst").alias("node"))
                   .agg(F.collect_list("src").alias("nbrs"),
                        F.count("*").alias("d_in")).cache())
-        in_deg = in_adj.select("node", "d_in").cache()
+        in_deg = in_adj.select("node", "d_in")
         edges_d = in_adj.select(F.explode("nbrs").alias("src"),
                                 F.col("node").alias("dst"),
                                 F.col("d_in").alias("d_in_dst")).cache()
         return cls(edges=edges, in_deg=in_deg, edges_d=edges_d, in_adj=in_adj)
 
     def unpersist(self) -> None:
-        for df in (self.edges, self.in_deg, self.edges_d, self.in_adj):
-            df.unpersist()
+        self.edges_d.unpersist()
+        self.in_adj.unpersist()
 
 
 def detect_L_df(spark: SparkSession, gf: GraphFrames, u: int,
@@ -149,20 +150,22 @@ def source_push_df(spark: SparkSession, gf: GraphFrames, u: int,
     """Alg. 2 lines 9–21. Returns ``(h_levels, gu_edges, attention)``:
 
     * ``h_levels[l]`` — DataFrame ``(node, h)`` of level-``l`` hitting
-      probabilities from ``u`` (nonzero rows only);
+      probabilities from ``u`` (nonzero rows only), for ``l = 0..L``;
     * ``gu_edges``    — DataFrame ``(src, dst, d_in_dst, clevel)``: the
       ``G_u`` edges from level-``clevel`` children ``src`` to their
       level-``clevel - 1`` parents ``dst``;
     * ``attention``   — the entries with ``h >= eps_h`` at levels 1..L,
       collected in (level, node) order, as ``source_push`` returns them.
+
+    Each level is one Spark action, ``_push``'s checkpoint. A frontier can
+    run dry only under ``L_override`` (``detect_L_df`` returns a depth some
+    walker reached); the levels past it are empty and add no rows.
     """
     h = spark.createDataFrame(pd.DataFrame({"node": [int(u)], "h": [1.0]}))
     h_levels = [h]
     gu_parts: list[DataFrame] = []
     for lvl in range(L):
         h_next = _push(h, gf.edges_d, "dst", "src", sqrt_c, "h")
-        if h_next.rdd.isEmpty():
-            break
         gu_parts.append(
             gf.edges_d.join(h, gf.edges_d["dst"] == h["node"], "left_semi")
             .withColumn("clevel", F.lit(lvl + 1)))

@@ -1,17 +1,12 @@
 """Tests for the exact-SimRank oracle (baselines/exact.py): the numpy
-power method (vs networkx and hand-derived values) and the DataFrame
-implementation (vs numpy and the DuckDB relational oracle)."""
+power method vs networkx and hand-derived values, its convergence, and its
+disk cache."""
 import numpy as np
-import pandas as pd
 import pytest
-from pyspark.sql import functions as F
 
 import repro.baselines.exact as exact_mod
-from repro.baselines.exact import (exact_simrank, exact_simrank_cached,
-                                   exact_simrank_df, simrank_iteration_df)
-from repro.graphs import generators
+from repro.baselines.exact import exact_simrank, exact_simrank_cached
 from repro.graphs.csr import from_edges
-from repro.oracle import assert_equivalent
 from tests import helpers
 
 
@@ -132,44 +127,3 @@ def test_cache_write_cut_short_leaves_no_file(tmp_path, monkeypatch):
         exact_simrank_cached(helpers.graph("cycle"), tag="t")
     assert list(tmp_path.iterdir()) == []
 
-
-def test_iteration_df_matches_duckdb(spark):
-    """One Jeh–Widom iteration as a Catalyst plan vs the same relational
-    step in DuckDB SQL — the repo's flagship oracle check."""
-    src, dst = generators.powerlaw(40, 3, seed=2)
-    edges = generators.to_spark(spark, src, dst)
-    nodes = (edges.select(F.col("src").alias("a"))
-             .union(edges.select(F.col("dst").alias("a"))).distinct())
-    s0 = nodes.select("a", F.col("a").alias("b"), F.lit(1.0).alias("s"))
-    got = simrank_iteration_df(spark, edges, s0, 0.6)
-    sql = """
-    WITH d AS (SELECT dst AS node, COUNT(*) AS deg FROM edges GROUP BY dst),
-    nodes AS (SELECT DISTINCT src AS x FROM edges
-              UNION SELECT DISTINCT dst FROM edges),
-    prod AS (
-      SELECT e1.dst AS a, e2.dst AS b,
-             0.6 * SUM(s.s) / (MAX(d1.deg) * MAX(d2.deg)) AS s
-      FROM s0 s
-      JOIN edges e1 ON s.a = e1.src
-      JOIN edges e2 ON s.b = e2.src
-      JOIN d d1 ON d1.node = e1.dst
-      JOIN d d2 ON d2.node = e2.dst
-      WHERE e1.dst != e2.dst
-      GROUP BY e1.dst, e2.dst)
-    SELECT a, b, s FROM prod
-    UNION ALL SELECT x AS a, x AS b, 1.0 AS s FROM nodes
-    """
-    assert_equivalent(got, sql, edges=edges, s0=s0)
-
-
-def test_exact_df_matches_numpy(spark):
-    src, dst = generators.social(35, 3, seed=5)
-    g = from_edges(src, dst, n=35)
-    s_np = exact_simrank(g, iters=12)
-    edges = generators.to_spark(spark, src, dst)
-    pdf = exact_simrank_df(spark, edges, iters=12).toPandas()
-    dense = np.zeros((35, 35))
-    dense[pdf["a"].to_numpy(), pdf["b"].to_numpy()] = pdf["s"].to_numpy()
-    nodes_present = sorted(set(src.tolist()) | set(dst.tolist()))
-    sub = np.ix_(nodes_present, nodes_present)
-    assert np.abs(dense[sub] - s_np[sub]).max() < 1e-9

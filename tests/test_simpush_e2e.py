@@ -1,14 +1,16 @@
 """End-to-end SimPush tests: Theorem 1's error bound against the exact
-oracle, underestimation, eps/seed behaviour, degenerate inputs, and
-local/DataFrame engine agreement."""
+oracle, underestimation, eps/seed behaviour, pinned seeded statistics,
+degenerate inputs, and local/DataFrame engine agreement."""
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.core import hitting, last_meeting, reverse_push, source_push
 from repro.core.params import SimPushParams
-from repro.core.simpush import simpush_df
+from repro.core.simpush import GraphFrames, simpush_df
 from repro.core.simpush_local import simpush_local
-from repro.graphs import generators
+from repro.graphs import datasets, generators
 from repro.graphs.csr import from_edges
 from tests import helpers
 
@@ -185,7 +187,46 @@ def test_trim_to_deepest_attention_level_is_exact():
     assert trimmed  # some fixture queries reach below their attention
 
 
+#: ``(u, L, |A_u|, G_u nodes, G_u edges)`` of seeded SimPush (seed 0, the
+#: default walk cap, eps = 0.025) on each analog's first five query nodes.
+#: The push depth ``L`` comes from the MC stage, so a change to the walk RNG
+#: stream moves these and must re-pin them on purpose.
+PINNED = {
+    "in2004_analog": [(227, 5, 56, 110, 111), (820, 6, 11, 12, 11),
+                      (1097, 1, 1, 2, 1), (1060, 2, 3, 4, 3),
+                      (432, 6, 17, 18, 18)],
+    "pokec_analog": [(417, 13, 94, 17928, 264122),
+                     (735, 13, 111, 19205, 284352),
+                     (446, 13, 82, 19204, 284367),
+                     (1432, 13, 57, 19199, 283146),
+                     (1424, 13, 95, 17971, 265479)],
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_seeded_statistics_pinned(name):
+    g = datasets.load(name)
+    got = []
+    for u in datasets.query_nodes(name, 5):
+        r = simpush_local(g, int(u), eps=0.025, seed=0)
+        got.append((int(u), r.L, r.n_attention, r.gu_nodes, r.gu_edges))
+    assert got == PINNED[name]
+
+
 # --------------------------------------------------------------- DataFrame
+
+
+def test_graph_frames_cache_only_what_stages_read(spark):
+    """``build`` caches the two frames the stages read, ``edges_d`` and
+    ``in_adj``, and ``unpersist`` releases them."""
+    gf = GraphFrames.build(generators.to_spark(spark, np.array([1, 2]),
+                                               np.array([0, 0])))
+    names = [f.name for f in dataclasses.fields(gf)]
+    cached = {n for n in names if getattr(gf, n).is_cached}
+    gf.unpersist()
+    assert names == ["edges", "in_deg", "edges_d", "in_adj"]
+    assert cached == {"edges_d", "in_adj"}
+    assert not any(getattr(gf, n).is_cached for n in names)
 
 
 def test_df_engine_matches_local_on_non_simple_graph(spark):

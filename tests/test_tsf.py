@@ -4,7 +4,7 @@ flaws are part of the evaluated landscape."""
 import numpy as np
 import pytest
 
-from repro.baselines.tsf import build_index, query
+from repro.baselines.tsf import DEPTH, build_index, query
 from tests import helpers
 
 
@@ -37,6 +37,38 @@ def test_rough_accuracy(name):
     vk = np.argsort(s[5])[::-1][1:51]
     assert np.abs(got[vk] - s[5][vk]).mean() < 0.05
     assert got[5] == 1.0
+
+
+def _query_per_walk(g, idx, u, *, c, R_q, seed):
+    """The estimator as the module doc states it: each walk, each step,
+    each node whose one-way chain stands where the walk does."""
+    rng = np.random.default_rng(seed)
+    scores = np.zeros(g.n)
+    for gi in range(idx.R_g):
+        walks = g.sqrt_c_walks(np.full(R_q, u, dtype=np.int64), 1.0, DEPTH,
+                               rng)
+        for walk in walks:
+            for v in range(g.n):
+                at = v
+                for step in range(1, DEPTH + 1):
+                    at = idx.owg[gi, at] if at >= 0 else -1
+                    if at >= 0 and at == walk[step]:
+                        scores[v] += c ** step
+    scores /= idx.R_g * R_q
+    scores[u] = 1.0
+    return scores
+
+
+@pytest.mark.parametrize("name,u", [("social", 5), ("undirected", 2)])
+def test_query_matches_per_walk_definition(name, u):
+    """The per-step meeting counts sum the same terms in another order, so
+    they agree with the per-walk loop to float64 rounding."""
+    g = helpers.graph(name)
+    idx = build_index(g, R_g=6, seed=3)
+    np.testing.assert_allclose(query(g, idx, u, R_q=4, seed=9),
+                               _query_per_walk(g, idx, u, c=0.6, R_q=4,
+                                               seed=9),
+                               rtol=0, atol=1e-12)
 
 
 def test_query_from_sink_is_unit_vector():
