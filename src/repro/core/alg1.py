@@ -31,7 +31,6 @@ class Alg1Run:
     scores: Any
     gu: Any              # G_u as Source-Push returned it (full depth)
     att: AttentionSet
-    L: int               # deepest attention level; Algs. 3-5 ran to it
     t_mc: float
     t_source_push: float
     t_gamma: float
@@ -80,6 +79,6 @@ def run_alg1(params: SimPushParams, u: int, n: int | None,
     t3 = time.perf_counter()
     scores = reverse(att, reverse_push.seed_residues(att, gamma))
     t4 = time.perf_counter()
-    return Alg1Run(scores=scores, gu=gu, att=att, L=L,
-                   t_mc=t1 - t0, t_source_push=t2 - t1, t_gamma=t3 - t2,
+    return Alg1Run(scores=scores, gu=gu, att=att, t_mc=t1 - t0,
+                   t_source_push=t2 - t1, t_gamma=t3 - t2,
                    t_reverse_push=t4 - t3)

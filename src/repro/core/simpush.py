@@ -146,43 +146,39 @@ def _union(parts: list[DataFrame], spark: SparkSession, schema: str
 
 def source_push_df(spark: SparkSession, gf: GraphFrames, u: int,
                    eps_h: float, L: int, sqrt_c: float
-                   ) -> tuple[list[DataFrame], DataFrame, AttentionSet]:
-    """Alg. 2 lines 9–21. Returns ``(h_levels, gu_edges, attention)``:
+                   ) -> tuple[DataFrame, AttentionSet]:
+    """Alg. 2 lines 9–21. Returns ``(gu_edges, attention)``, as
+    ``source_push`` returns ``(G_u, A_u)``:
 
-    * ``h_levels[l]`` — DataFrame ``(node, h)`` of level-``l`` hitting
-      probabilities from ``u`` (nonzero rows only), for ``l = 0..L``;
-    * ``gu_edges``    — DataFrame ``(src, dst, d_in_dst, clevel)``: the
+    * ``gu_edges``  — DataFrame ``(src, dst, d_in_dst, clevel)``: the
       ``G_u`` edges from level-``clevel`` children ``src`` to their
       level-``clevel - 1`` parents ``dst``;
-    * ``attention``   — the entries with ``h >= eps_h`` at levels 1..L,
-      collected in (level, node) order, as ``source_push`` returns them.
+    * ``attention`` — the entries with ``h >= eps_h`` at levels 1..L,
+      collected in (level, node) order.
 
     Each level is one Spark action, ``_push``'s checkpoint. A frontier can
     run dry only under ``L_override`` (``detect_L_df`` returns a depth some
     walker reached); the levels past it are empty and add no rows.
     """
     h = spark.createDataFrame(pd.DataFrame({"node": [int(u)], "h": [1.0]}))
-    h_levels = [h]
     gu_parts: list[DataFrame] = []
-    for lvl in range(L):
-        h_next = _push(h, gf.edges_d, "dst", "src", sqrt_c, "h")
+    att_parts: list[DataFrame] = []
+    for lvl in range(1, L + 1):
         gu_parts.append(
             gf.edges_d.join(h, gf.edges_d["dst"] == h["node"], "left_semi")
-            .withColumn("clevel", F.lit(lvl + 1)))
-        h_levels.append(h_next)
-        h = h_next
+            .withColumn("clevel", F.lit(lvl)))
+        h = _push(h, gf.edges_d, "dst", "src", sqrt_c, "h")
+        att_parts.append(h.where(F.col("h") >= eps_h)
+                         .withColumn("level", F.lit(lvl)))
     # The union stacks one shuffle's worth of partitions per level;
     # coalesce before checkpointing so later per-level filters do not
     # schedule hundreds of near-empty tasks.
     gu_edges = (_union(gu_parts, spark,
                        "src long, dst long, d_in_dst long, clevel int")
                 .coalesce(16).localCheckpoint(eager=True))
-    att = _union(
-        [h_levels[lvl].where(F.col("h") >= eps_h)
-         .withColumn("level", F.lit(lvl)) for lvl in range(1, len(h_levels))],
-        spark, "node long, h double, level int",
-    ).toPandas().sort_values(["level", "node"])
-    return h_levels, gu_edges, AttentionSet(
+    att = _union(att_parts, spark, "node long, h double, level int"
+                 ).toPandas().sort_values(["level", "node"])
+    return gu_edges, AttentionSet(
         levels=att["level"].to_numpy(np.int64),
         nodes=att["node"].to_numpy(np.int64), h=att["h"].to_numpy(np.float64))
 
@@ -271,7 +267,7 @@ def simpush_df(spark: SparkSession, edges: DataFrame, u: int, *,
         return alg1.run_alg1(
             params, u, None, L_override,
             lambda: detect_L_df(spark, gf, u, params, seed=seed),
-            lambda L: source_push_df(spark, gf, u, params.eps_h, L, sc)[1:],
+            lambda L: source_push_df(spark, gf, u, params.eps_h, L, sc),
             lambda gu, att, L: hitting_df(spark, gu, att, L, sc),
             lambda att, r: reverse_push_df(spark, gf, att, r, u,
                                            params.eps_h, sc),

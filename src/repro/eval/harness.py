@@ -1,5 +1,5 @@
 """Tradeoff sweep harness — regenerates the data behind the paper's
-Figures 4–7 (as tables) and the in-text claims.
+Figures 4–7 (as tables), Table 3 and the in-text claims.
 
 One ``sweep()`` call runs every requested (method, setting) pair over a
 dataset's query set through ``run_setting``, the one clock, which times
@@ -63,9 +63,8 @@ SIMPUSH_STATS = tuple(f.name for f in fields(SimPushResult)
 
 @dataclass
 class RunRecord:
-    """One (dataset, method, setting) measurement row."""
+    """One (method, setting) measurement row of a dataset."""
 
-    dataset: str
     method: str
     setting: str
     query_time: float = math.nan
@@ -107,32 +106,27 @@ def _estimated_index_bytes(method: str, s, g: CSRGraph, c: float) -> int:
     return 0
 
 
-def stage_ms(stats: dict) -> dict:
-    """SimPush's four stage-time means in ``stats`` as ``<stage>_ms``."""
-    return {f"{k}_ms": 1e3 * v for k, v in stats.items() if k.startswith("t_")}
-
-
 def run_setting(g: CSRGraph, method: str, s, queries: np.ndarray, *,
-                seed: int = 0, walks_cap: int = 2_000_000) -> RunRecord:
+                walks_cap: int = 2_000_000) -> RunRecord:
     """Build (if index-based) and run every query; returns the record with
     per-query score vectors attached (metrics are filled in by sweep).
     The one clock: it times each index build and each query, and the sweep
     and the timing jobs in ``jobs/`` run through it. Query ``i`` is seeded
-    ``seed + i``."""
+    ``i``; each index build takes its default seed."""
     if method not in SETTINGS:
         raise ValueError(f"unknown method {method!r}; the methods are "
                          + ", ".join(SETTINGS))
-    rec = RunRecord(dataset="", method=method, setting=_setting_str(method, s))
+    rec = RunRecord(method=method, setting=_setting_str(method, s))
     index = None
     t0 = time.perf_counter()
     if method == "prsim":
-        index = _prsim.build_index(g, c=C, eps_a=s, seed=seed)
+        index = _prsim.build_index(g, c=C, eps_a=s)
     elif method == "sling":
-        index = _sling.build_index(g, c=C, eps_a=s, seed=seed)
+        index = _sling.build_index(g, c=C, eps_a=s)
     elif method == "reads":
-        index = _reads.build_index(g, c=C, r=s[0], t=s[1], seed=seed)
+        index = _reads.build_index(g, c=C, r=s[0], t=s[1])
     elif method == "tsf":
-        index = _tsf.build_index(g, R_g=s[0], seed=seed)
+        index = _tsf.build_index(g, R_g=s[0])
     if index is not None:
         rec.build_time = time.perf_counter() - t0
         rec.index_bytes = index.index_bytes
@@ -144,23 +138,23 @@ def run_setting(g: CSRGraph, method: str, s, queries: np.ndarray, *,
         t0 = time.perf_counter()
         if method == "simpush":
             r = simpush_local(g, u, c=C, eps=s, delta=DELTA,
-                              seed=seed + qi, walks_cap=walks_cap)
+                              seed=qi, walks_cap=walks_cap)
             scores = r.scores
             stats.append([getattr(r, k) for k in SIMPUSH_STATS])
             qbytes = max(qbytes, memory.simpush_query_bytes(g, r.L))
         elif method == "probesim":
             scores = _probesim.probesim(g, u, c=C, eps_a=s, delta=DELTA,
-                                        seed=seed + qi).scores
+                                        seed=qi).scores
         elif method == "prsim":
             scores = _prsim.query(g, index, u, c=C, delta=DELTA, eps_a=s,
-                                  seed=seed + qi)
+                                  seed=qi)
             qbytes = memory.prsim_query_bytes(g, index.Lmax)
         elif method == "sling":
             scores = _sling.query(g, index, u, c=C)
         elif method == "reads":
             scores = _reads.query(g, index, u)
         elif method == "tsf":
-            scores = _tsf.query(g, index, u, c=C, R_q=s[1], seed=seed + qi)
+            scores = _tsf.query(g, index, u, c=C, R_q=s[1], seed=qi)
         elif method == "topsim":
             scores = _topsim.topsim(g, u, c=C, T=s[0], inv_h=s[1])
         dt = time.perf_counter() - t0
@@ -195,26 +189,24 @@ def sweep(dataset: str, methods: list[str] | None = None, *,
             est = _estimated_index_bytes(method, s, g, C)
             if est > index_budget_bytes or (
                     method == "sling" and g.n > _sling.MAX_INDEX_N):
-                rec = RunRecord(dataset=dataset, method=method,
-                                setting=_setting_str(method, s),
-                                index_bytes=est,
-                                excluded="index exceeds memory budget")
-                records.append(rec)
+                records.append(RunRecord(
+                    method=method, setting=_setting_str(method, s),
+                    index_bytes=est, excluded="index exceeds memory budget"))
                 continue
-            rec = run_setting(g, method, s, queries)
-            rec.dataset = dataset
-            records.append(rec)
+            records.append(run_setting(g, method, s, queries))
     _fill_metrics(g, dataset, queries, records, gt_samples=gt_samples)
     rows = []
     for r in records:
         rows.append({
-            "dataset": r.dataset or dataset, "method": r.method,
+            "dataset": dataset, "method": r.method,
             "setting": r.setting, "query_time_s": r.query_time,
             "build_time_s": r.build_time, "index_MB": r.index_bytes / 2**20,
             "peak_MB": r.peak_bytes / 2**20, "avg_error@50": r.avg_error,
             "precision@50": r.precision, "n_queries": r.n_queries,
             "avg_L": r.stats["L"], "avg_attention": r.stats["n_attention"],
-            "avg_gu_edges": r.stats["gu_edges"], **stage_ms(r.stats),
+            "avg_gu_edges": r.stats["gu_edges"],
+            **{f"{k}_ms": 1e3 * v for k, v in r.stats.items()
+               if k.startswith("t_")},
             "excluded": r.excluded,
         })
     return pd.DataFrame(rows)

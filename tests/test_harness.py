@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.baselines import tsf
+from repro.core.simpush_local import simpush_local
 from repro.eval import harness
 from repro.graphs import datasets
 
@@ -42,6 +43,28 @@ def test_simpush_stats_reported(mini_sweep):
     assert row["avg_gu_edges"] >= 1 and row["t_source_push_ms"] > 0
     other = mini_sweep[mini_sweep["method"] != "simpush"]
     assert other[["avg_gu_edges", "t_mc_ms"]].isna().all().all()
+
+
+def _direct_means(dataset, eps, n_queries, **kw):
+    """Mean L, |A_u| and G_u edges of SimPush over the dataset's
+    ``n_queries`` query nodes, query ``i`` seeded ``i``."""
+    g = datasets.load(dataset)
+    res = [simpush_local(g, int(u), eps=eps, seed=i, **kw)
+           for i, u in enumerate(datasets.query_nodes(dataset, n_queries))]
+    return [float(np.mean([getattr(r, k) for r in res]))
+            for k in ("L", "n_attention", "gu_edges")]
+
+
+def test_simpush_row_is_the_mean_of_direct_queries():
+    """The sweep seeds query ``i`` with ``i`` and caps the walks at 2 M.
+    On pokec at eps = 0.05 both matter: seeding query ``i`` with ``i + 1``
+    or capping at 500 k moves the second or third query's L."""
+    eps = harness.SETTINGS["simpush"][2]
+    row = harness.sweep("pokec_analog", methods=["simpush"],
+                        settings_idx=[2], n_queries=3).iloc[0]
+    assert row["setting"] == f"eps={eps}"
+    assert [row["avg_L"], row["avg_attention"], row["avg_gu_edges"]] == \
+        _direct_means("pokec_analog", eps, 3, walks_cap=2_000_000)
 
 
 def test_index_methods_report_build(mini_sweep):

@@ -172,7 +172,7 @@ def test_hitting_df_matches_local(spark):
     edges = generators.to_spark(spark, src, dst)
     gf = GraphFrames.build(edges)
     try:
-        _, gu_edges, att_df = source_push_df(spark, gf, u, eps_h, L, SQRT_C)
+        gu_edges, att_df = source_push_df(spark, gf, u, eps_h, L, SQRT_C)
         got = hitting_df(spark, gu_edges, att_df, gu.L, SQRT_C)
     finally:
         gf.unpersist()

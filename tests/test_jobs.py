@@ -2,9 +2,6 @@
 import sys
 from pathlib import Path
 
-import numpy as np
-import pytest
-
 JOBS = Path(__file__).resolve().parent.parent / "jobs"
 sys.path.insert(0, str(JOBS))
 
@@ -15,37 +12,6 @@ def test_dataset_stats_table():
     assert len(df) == 9
     assert {"analog", "n", "m", "paper_n", "paper_m"} <= set(df.columns)
     assert (df["n"] > 0).all() and (df["m"] > 0).all()
-
-
-def _direct_means(dataset, eps, n_queries, seed, **kw):
-    """Mean L, |A_u| and G_u edges of SimPush over the first ``n_queries``
-    query nodes, query ``i`` seeded ``seed + i``."""
-    from repro.core.simpush_local import simpush_local
-    from repro.graphs import datasets
-    g = datasets.load(dataset)
-    res = [simpush_local(g, int(u), eps=eps, seed=seed + i, **kw)
-           for i, u in enumerate(datasets.query_nodes(dataset, n_queries))]
-    return [float(np.mean([getattr(r, k) for r in res]))
-            for k in ("L", "n_attention", "gu_edges")]
-
-
-def test_stage_breakdown_table():
-    import stage_breakdown
-    df = stage_breakdown.stage_table(["in2004_analog"], eps_grid=(0.2,),
-                                     n_queries=1, walks_cap=20_000)
-    assert len(df) == 1
-    assert df["t_source_push_ms"].iloc[0] > 0
-
-
-def test_stage_breakdown_keeps_seed_and_walks_cap():
-    """At this cap L depends on both the seed and the cap (4 vs 5 for the
-    first query at the default cap)."""
-    import stage_breakdown
-    df = stage_breakdown.stage_table(["in2004_analog"], eps_grid=(0.1,),
-                                     n_queries=2, walks_cap=2000, seed=0)
-    L, att, _ = _direct_means("in2004_analog", 0.1, 2, 0, walks_cap=2000)
-    assert df["avg_L"].iloc[0] == L
-    assert df["avg_attention"].iloc[0] == att
 
 
 def test_scaling_tables():
@@ -59,18 +25,19 @@ def test_scaling_tables():
     assert list(df2["eps"]) == [0.3, 0.15]
 
 
-def test_report_L():
+def test_eval_tradeoff_prints_both_tables(monkeypatch, capsys):
     import eval_tradeoff
-    out = eval_tradeoff.report_L("in2004_analog", eps=0.1, n_queries=2)
-    assert out["avg_L"] >= 1
-    assert out["avg_attention"] >= 1
-
-
-def test_report_L_keeps_seed_and_default_cap():
-    import eval_tradeoff
-    out = eval_tradeoff.report_L("dblp_analog", eps=0.1, n_queries=2, seed=3)
-    assert [out["avg_L"], out["avg_attention"], out["avg_gu_edges"]] == \
-        _direct_means("dblp_analog", 0.1, 2, 3)
+    monkeypatch.setattr(sys, "argv", [
+        "eval_tradeoff.py", "--methods", "simpush", "--datasets",
+        "in2004_analog", "--n-queries", "1", "--settings-idx", "0"])
+    eval_tradeoff.main()
+    out = capsys.readouterr().out
+    assert "### in2004_analog\n" in out
+    assert "| method | setting | query_time_s |" in out
+    assert "### in2004_analog: SimPush statistics" in out
+    assert "| " + " | ".join(eval_tradeoff.SIMPUSH_COLUMNS) + " |" in out
+    assert "\n| simpush | eps=0.2 |" in out
+    assert "\n| eps=0.2 |" in out
 
 
 def test_run_simpush_job(spark):

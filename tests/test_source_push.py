@@ -143,17 +143,20 @@ def test_df_matches_local(spark):
     edges = generators.to_spark(spark, src, dst)
     gf = GraphFrames.build(edges)
     try:
-        gu, att = source_push(g, 4, eps_h=0.03, L=3, sqrt_c=SQRT_C)
-        h_levels, gu_edges, att_df = source_push_df(
-            spark, gf, 4, 0.03, 3, SQRT_C)
-        assert len(h_levels) == gu.L + 1
-        for lvl in range(gu.L + 1):
-            pdf = h_levels[lvl].toPandas()
+        # At eps_h = 0 every nonzero h is an attention entry, so the
+        # attention set carries every level's h.
+        gu, _ = source_push(g, 4, eps_h=0.0, L=3, sqrt_c=SQRT_C)
+        _, every_h = source_push_df(spark, gf, 4, 0.0, 3, SQRT_C)
+        assert gu.L == 3
+        for lvl in range(1, gu.L + 1):
+            at = every_h.at_level(lvl)
             dense = np.zeros(g.n)
-            dense[pdf["node"].to_numpy()] = pdf["h"].to_numpy()
+            dense[every_h.nodes[at]] = every_h.h[at]
             ref = np.zeros(g.n)
             ref[gu.level_nodes[lvl]] = gu.h[lvl]
             np.testing.assert_allclose(dense, ref, atol=1e-12)
+        gu, att = source_push(g, 4, eps_h=0.03, L=3, sqrt_c=SQRT_C)
+        gu_edges, att_df = source_push_df(spark, gf, 4, 0.03, 3, SQRT_C)
         np.testing.assert_array_equal(att_df.levels, att.levels)
         np.testing.assert_array_equal(att_df.nodes, att.nodes)
         np.testing.assert_allclose(att_df.h, att.h, atol=1e-12)
@@ -209,7 +212,7 @@ def test_push_operator_oracle(spark, frm, to, keys):
     gf = GraphFrames.build(edges)
     try:
         if keys:
-            _, gu_edges, _ = source_push_df(spark, gf, 3, 0.01, 3, SQRT_C)
+            gu_edges, _ = source_push_df(spark, gf, 3, 0.01, 3, SQRT_C)
             step = gu_edges.where(F.col("clevel") == 2)
             nodes = sorted(step.toPandas()["src"].unique().tolist())
             assert nodes
