@@ -26,9 +26,8 @@ from repro.graphs.csr import CSRGraph
 def dense_wt(g: CSRGraph) -> np.ndarray:
     """Dense ``W^T``: row ``i`` is ``1/d_I(i)`` at each ``i' in I(i)``."""
     wt = np.zeros((g.n, g.n))
-    has = g.in_deg > 0
-    rows = np.repeat(np.arange(g.n)[has], g.in_deg[has])
-    wt[rows, g.in_idx] = 1.0 / g.in_deg[rows]
+    src, row = g.in_edges(np.arange(g.n))
+    wt[row, src] = 1.0 / g.in_deg[row]
     return wt
 
 

@@ -78,13 +78,11 @@ def source_push(g: CSRGraph, u: int, eps_h: float, L: int, sqrt_c: float
     edges: list[tuple[np.ndarray, np.ndarray]] = []
     for _ in range(L):
         frontier = level_nodes[-1]
-        children, _ = g.in_edges(frontier)
+        children, parent_row = g.in_edges(frontier)
         if children.size == 0:
             break
-        deg = g.in_deg[frontier]
-        parent_row = np.repeat(np.arange(frontier.size), deg)
         # One Source-Push level; a sink's weight is never read.
-        w = sqrt_c * h_levels[-1] / np.maximum(deg, 1)
+        w = sqrt_c * h_levels[-1] / np.maximum(g.in_deg[frontier], 1)
         h_next = sum_by(children, w[parent_row], g.n)
         nonzero = h_next != 0
         edges.append((np.cumsum(nonzero)[children] - 1, parent_row))

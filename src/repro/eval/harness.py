@@ -132,7 +132,7 @@ def run_setting(g: CSRGraph, method: str, s, queries: np.ndarray, *,
         rec.index_bytes = index.index_bytes
 
     times, stats = [], []
-    qbytes = memory.generic_query_bytes(g)
+    levels = 0  # simpush_query_bytes' L: SimPush's max L, PRSim's Lmax
     for qi, u in enumerate(queries):
         u = int(u)
         t0 = time.perf_counter()
@@ -141,14 +141,14 @@ def run_setting(g: CSRGraph, method: str, s, queries: np.ndarray, *,
                               seed=qi, walks_cap=walks_cap)
             scores = r.scores
             stats.append([getattr(r, k) for k in SIMPUSH_STATS])
-            qbytes = max(qbytes, memory.simpush_query_bytes(g, r.L))
+            levels = max(levels, r.L)
         elif method == "probesim":
             scores = _probesim.probesim(g, u, c=C, eps_a=s, delta=DELTA,
                                         seed=qi).scores
         elif method == "prsim":
             scores = _prsim.query(g, index, u, c=C, delta=DELTA, eps_a=s,
                                   seed=qi)
-            qbytes = memory.prsim_query_bytes(g, index.Lmax)
+            levels = index.Lmax
         elif method == "sling":
             scores = _sling.query(g, index, u, c=C)
         elif method == "reads":
@@ -165,7 +165,8 @@ def run_setting(g: CSRGraph, method: str, s, queries: np.ndarray, *,
             break
     rec.query_time = float(np.mean(times)) if times else math.nan
     rec.n_queries = len(rec.scores)
-    rec.peak_bytes = memory.peak_bytes(g, rec.index_bytes, qbytes)
+    rec.peak_bytes = memory.peak_bytes(
+        g, rec.index_bytes, memory.simpush_query_bytes(g, levels))
     if stats:
         rec.stats = dict(zip(SIMPUSH_STATS, np.mean(stats, axis=0).tolist()))
     return rec
@@ -180,11 +181,14 @@ def sweep(dataset: str, methods: list[str] | None = None, *,
     g = datasets.load(dataset)
     queries = datasets.query_nodes(dataset, n_queries)
     methods = methods or ALL_METHODS
+    size = min(len(SETTINGS[m]) for m in methods)
+    if any(not 0 <= i < size for i in settings_idx or []):
+        raise ValueError(f"settings_idx {settings_idx} not in [0, {size})")
     records: list[RunRecord] = []
     for method in methods:
         grid = SETTINGS[method]
         if settings_idx is not None:
-            grid = [grid[i] for i in settings_idx if i < len(grid)]
+            grid = [grid[i] for i in settings_idx]
         for s in grid:
             est = _estimated_index_bytes(method, s, g, C)
             if est > index_budget_bytes or (

@@ -16,19 +16,10 @@ _F = 8  # bytes per float64
 
 
 def simpush_query_bytes(g: CSRGraph, L: int) -> int:
-    """``L + 3`` dense n-vectors: ``L`` bound ``G_u``'s levelled ``h``; 3 hold
-    Reverse-Push's one residue vector, its push output and the scores."""
+    """``L + 3`` dense n-vectors, every method's working set: ``L`` levels
+    (SimPush's ``h``, PRSim's ``Lmax`` visit-count rows, else 0) and 3 for
+    one push's input and output and the scores."""
     return (L + 3) * g.n * _F
-
-
-def prsim_query_bytes(g: CSRGraph, Lmax: int) -> int:
-    """Visit-count matrix + score accumulator + one push vector."""
-    return (Lmax + 3) * g.n * _F
-
-
-def generic_query_bytes(g: CSRGraph) -> int:
-    """Three dense n-vectors, e.g. ProbeSim's probe vector + the scores."""
-    return 3 * g.n * _F
 
 
 def peak_bytes(g: CSRGraph, index_bytes: int, query_bytes: int) -> int:

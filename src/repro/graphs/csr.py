@@ -8,8 +8,11 @@ paper). The primitives and their callers:
 
 * ``simple_edges`` — self-loops and duplicate edges dropped: ``from_edges``
   and the generators.
-* ``in_edges`` — a frontier's in-edges: Source-Push's ``G_u`` levels. It
-  and the two exact push operators share the one ragged gather, ``_gather``.
+* ``_csr`` — one direction's CSR by a bincount and a cumsum: both of
+  ``from_edges``' and ``generators.social``'s out-CSR.
+* ``in_edges`` — a frontier's in-edges and the frontier row owning each:
+  Source-Push's ``G_u`` levels, ``exact.dense_wt``. It and the two exact
+  push operators share the one ragged gather, ``_gather``.
 * ``sum_by`` — the one accumulation kernel, dense sums by index: the two
   push operators below, Source-Push's level step (``source_push``) and
   Alg. 3's push of the seeded target columns (``hitting``).
@@ -80,8 +83,8 @@ class CSRGraph:
     # ---------------------------------------------------------------- pushes
 
     def in_edges(self, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Every in-edge ``src -> dst`` of each ``dst`` in ``nodes``, as
-        ``(src, dst)`` arrays grouped by ``dst`` in ``nodes`` order."""
+        """Every in-edge ``src -> nodes[row]`` of ``nodes``, as ``(src, row)``
+        arrays grouped by ``row`` in ``nodes`` order."""
         return _gather(self.in_ptr, self.in_idx, self.in_deg, nodes)
 
     def push_to_in_neighbors(self, h: np.ndarray, sqrt_c: float) -> np.ndarray:
@@ -92,8 +95,11 @@ class CSRGraph:
         in-neighbours simply absorb their mass (the walk stops), matching the
         paper's walk semantics.
         """
-        srcs, dsts = self.in_edges(np.flatnonzero(h))
-        return sum_by(srcs, sqrt_c * h[dsts] / self.in_deg[dsts], self.n)
+        nodes = np.flatnonzero(h)
+        srcs, row = self.in_edges(nodes)
+        # The weight per node, gathered by row; a sink's is never read.
+        w = sqrt_c * h[nodes] / np.maximum(self.in_deg[nodes], 1)
+        return sum_by(srcs, w[row], self.n)
 
     def push_to_out_neighbors(self, r: np.ndarray, sqrt_c: float,
                               active: np.ndarray | None = None) -> np.ndarray:
@@ -105,8 +111,9 @@ class CSRGraph:
         """
         if active is None:
             active = np.flatnonzero(r)
-        dsts, srcs = _gather(self.out_ptr, self.out_idx, self.out_deg, active)
-        return sum_by(dsts, sqrt_c * r[srcs] / self.in_deg[dsts], self.n)
+        dsts, row = _gather(self.out_ptr, self.out_idx, self.out_deg, active)
+        return sum_by(dsts, (sqrt_c * r[active])[row] / self.in_deg[dsts],
+                      self.n)
 
     # ----------------------------------------------------------------- walks
 
@@ -188,18 +195,21 @@ class CSRGraph:
 
 def _gather(ptr: np.ndarray, idx: np.ndarray, deg: np.ndarray,
             nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The CSR lists of ``nodes`` concatenated, and the node owning each
-    entry: ``(idx[ptr[v]:ptr[v+1]] for v in nodes, v repeated deg[v] times)``."""
+    """The CSR lists of ``nodes`` concatenated, and the row in ``nodes``
+    owning each entry (row ``r`` repeated ``deg[nodes[r]]`` times)."""
     counts = deg[nodes]
-    return (idx[np.repeat(ptr[nodes], counts) + _ragged_offsets(counts)],
-            np.repeat(nodes, counts))
+    row = np.repeat(np.arange(nodes.size), counts)
+    # Entry j of row r is at ptr[nodes[r]] + j - (entries before row r).
+    shift = ptr[nodes] - (np.cumsum(counts) - counts)
+    return idx[shift[row] + np.arange(row.size)], row
 
 
-def _ragged_offsets(counts: np.ndarray) -> np.ndarray:
-    """``[0..c0-1, 0..c1-1, ...]`` — per-segment offsets for ragged gathers."""
-    out = np.arange(int(counts.sum()))
-    out -= np.repeat(np.cumsum(counts) - counts, counts)
-    return out
+def _csr(major: np.ndarray, minor: np.ndarray, n: int
+         ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(ptr, idx, deg)`` of edges ``major -> minor``: ``minor``, sorted by
+    ``(major, minor)``, is ``idx``; ``major`` is only counted, in any order."""
+    deg = np.bincount(major, minlength=n)
+    return np.concatenate(([0], np.cumsum(deg))), minor, deg
 
 
 def sum_by(idx: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
@@ -245,16 +255,8 @@ def from_edges(src: np.ndarray, dst: np.ndarray, n: int | None = None) -> CSRGra
         raise ValueError(f"edge endpoint ids span [{lo}, {hi}], "
                          f"not within [0, {n})")
     src, dst = simple_edges(src, dst, n)
-
-    def _build(by: np.ndarray, other: np.ndarray):
-        order = np.argsort(by, kind="stable")
-        sorted_by, sorted_other = by[order], other[order]
-        deg = np.bincount(sorted_by, minlength=n)
-        ptr = np.concatenate(([0], np.cumsum(deg)))
-        return ptr.astype(np.int64), sorted_other, deg.astype(np.int64)
-
-    out_ptr, out_idx, out_deg = _build(src, dst)
-    in_ptr, in_idx, in_deg = _build(dst, src)
+    out_ptr, out_idx, out_deg = _csr(src, dst, n)
+    in_ptr, in_idx, in_deg = _csr(dst, np.sort(dst * n + src) % n, n)
     return CSRGraph(n=n, out_ptr=out_ptr, out_idx=out_idx,
                     in_ptr=in_ptr, in_idx=in_idx,
                     out_deg=out_deg, in_deg=in_deg)

@@ -67,17 +67,15 @@ LARGE = ["it2004_analog", "twitter_analog", "friendster_analog",
          "uk_analog", "clueweb_analog"]
 
 
+#: ``DatasetSpec.kind`` -> its generator.
+GENERATORS = {"powerlaw": generators.powerlaw, "social": generators.social,
+              "undirected": generators.undirected}
+
+
 def edge_arrays(name: str) -> tuple[np.ndarray, np.ndarray, DatasetSpec]:
     """Generate the named analog's edge arrays (deterministic in the spec)."""
     spec = SPECS[name]
-    if spec.kind == "powerlaw":
-        src, dst = generators.powerlaw(spec.n, spec.avg_deg, seed=spec.seed)
-    elif spec.kind == "social":
-        src, dst = generators.social(spec.n, spec.avg_deg, seed=spec.seed)
-    elif spec.kind == "undirected":
-        src, dst = generators.undirected(spec.n, spec.avg_deg, seed=spec.seed)
-    else:  # pragma: no cover - registry is static
-        raise ValueError(f"unknown kind {spec.kind}")
+    src, dst = GENERATORS[spec.kind](spec.n, spec.avg_deg, seed=spec.seed)
     return src, dst, spec
 
 

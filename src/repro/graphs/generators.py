@@ -1,4 +1,4 @@
-"""Seeded synthetic graph generators (numpy arrays + Spark DataFrame wrappers).
+"""Seeded synthetic graph generators of numpy edge arrays.
 
 The paper evaluates on 9 real graphs (web crawls, social networks, one
 collaboration network — Table 4) that are not available offline. These
@@ -20,11 +20,14 @@ the rule ``csr.from_edges`` applies too.
 """
 from __future__ import annotations
 
-import numpy as np
-import pandas as pd
-from pyspark.sql import DataFrame, SparkSession
+from typing import TYPE_CHECKING
 
-from repro.graphs.csr import simple_edges
+import numpy as np
+
+from repro.graphs.csr import _csr, simple_edges
+
+if TYPE_CHECKING:
+    from pyspark.sql import DataFrame, SparkSession
 
 #: ``powerlaw``'s share of targets drawn by preferential attachment.
 ATTACH_BIAS = 0.8
@@ -83,14 +86,11 @@ def social(n: int, avg_out_deg: int, *, seed: int = 0
     # Triadic closure: for a sampled edge (a, b), add (a, c) where c is a
     # uniformly-sampled out-neighbour of b (via one join-like gather).
     clo = np.flatnonzero(rng.random(m) < CLOSURE)
-    order = np.argsort(src, kind="stable")
-    s_src, s_dst = src[order], dst[order]
-    deg = np.bincount(s_src, minlength=n)
-    ptr = np.concatenate(([0], np.cumsum(deg)))
+    ptr, out_idx, deg = _csr(src, dst, n)
     b = dst[clo]
     has = deg[b] > 0
     a, b = src[clo][has], b[has]
-    c = s_dst[ptr[b] + rng.integers(0, deg[b])]
+    c = out_idx[ptr[b] + rng.integers(0, deg[b])]
     src = np.concatenate([src, r_src, a])
     dst = np.concatenate([dst, r_dst, c])
     return simple_edges(src, dst, n)
@@ -117,6 +117,7 @@ def erdos_renyi(n: int, m: int, *, seed: int = 0
 def to_spark(spark: SparkSession, src: np.ndarray, dst: np.ndarray
              ) -> DataFrame:
     """Edge arrays -> Spark DataFrame ``(src: long, dst: long)``."""
+    import pandas as pd
     return spark.createDataFrame(
         pd.DataFrame({"src": src.astype(np.int64), "dst": dst.astype(np.int64)})
     )

@@ -8,7 +8,7 @@ import numpy as np
 
 from repro.baselines.exact import exact_simrank
 from repro.graphs import generators
-from repro.graphs.csr import CSRGraph, from_edges, sum_by
+from repro.graphs.csr import CSRGraph, from_edges, simple_edges, sum_by
 
 #: name -> (builder, n). Small enough that exact SimRank is instant.
 GRAPHS = {
@@ -38,6 +38,34 @@ def edge_arrays(name: str) -> tuple[np.ndarray, np.ndarray]:
     build, _ = GRAPHS[name]
     src, dst = build()
     return np.asarray(src, dtype=np.int64), np.asarray(dst, dtype=np.int64)
+
+
+def csr_reference(src: np.ndarray, dst: np.ndarray, n: int) -> CSRGraph:
+    """``from_edges`` by a second route, for int64 ids in ``[0, n)``: each
+    direction's CSR by a stable argsort of the simple edges on its major
+    endpoint, a bincount and a cumsum, with int64 arrays throughout."""
+    src, dst = simple_edges(src, dst, n)
+
+    def build(by: np.ndarray, other: np.ndarray):
+        order = np.argsort(by, kind="stable")
+        deg = np.bincount(by[order], minlength=n)
+        ptr = np.concatenate(([0], np.cumsum(deg)))
+        return ptr.astype(np.int64), other[order], deg.astype(np.int64)
+
+    out_ptr, out_idx, out_deg = build(src, dst)
+    in_ptr, in_idx, in_deg = build(dst, src)
+    return CSRGraph(n=n, out_ptr=out_ptr, out_idx=out_idx, in_ptr=in_ptr,
+                    in_idx=in_idx, out_deg=out_deg, in_deg=in_deg)
+
+
+def assert_same_csr(g: CSRGraph, ref: CSRGraph) -> None:
+    """All six arrays equal, entry by entry and in dtype, and the same n."""
+    assert g.n == ref.n
+    for name in ("out_ptr", "out_idx", "in_ptr", "in_idx", "out_deg",
+                 "in_deg"):
+        got, want = getattr(g, name), getattr(ref, name)
+        assert got.dtype == want.dtype, name
+        np.testing.assert_array_equal(got, want, err_msg=name)
 
 
 def wt_matrix(g: CSRGraph) -> np.ndarray:

@@ -7,9 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from pyspark.sql import functions as F
 
-from repro.graphs import generators
-from repro.graphs.csr import (CSRGraph, _ragged_offsets, from_edges,
-                              sum_by)
+from repro.graphs import datasets, generators
+from repro.graphs.csr import CSRGraph, from_edges, sum_by
 from repro.oracle import assert_equivalent
 from tests import helpers
 
@@ -19,15 +18,19 @@ SQRT_C = np.sqrt(0.6)
 def _edges_strategy():
     return st.lists(
         st.tuples(st.integers(0, 19), st.integers(0, 19)),
-        min_size=1, max_size=120)
+        max_size=120)
 
 
 @given(edges=_edges_strategy())
 @settings(max_examples=60, deadline=None)
 def test_from_edges_matches_bruteforce(edges):
-    src = np.array([e[0] for e in edges])
-    dst = np.array([e[1] for e in edges])
+    """Duplicates, self-loops, isolated nodes and no edges at all: the
+    neighbour sets are the brute-force ones, and every array, neighbour
+    order and dtype included, is the stable-argsort construction's."""
+    src = np.array([e[0] for e in edges], dtype=np.int64)
+    dst = np.array([e[1] for e in edges], dtype=np.int64)
     g = from_edges(src, dst, n=20)
+    helpers.assert_same_csr(g, helpers.csr_reference(src, dst, 20))
     simple = {(a, b) for a, b in edges if a != b}
     assert g.m == len(simple)
     for v in range(20):
@@ -37,6 +40,20 @@ def test_from_edges_matches_bruteforce(edges):
             a for a, b in simple if b == v}
         assert g.out_deg[v] == len({b for a, b in simple if a == v})
         assert g.in_deg[v] == len({a for a, b in simple if b == v})
+
+
+@pytest.mark.parametrize("name", sorted(helpers.GRAPHS))
+def test_fixtures_match_reference(name):
+    src, dst = helpers.edge_arrays(name)
+    g = helpers.graph(name)
+    helpers.assert_same_csr(g, helpers.csr_reference(src, dst, g.n))
+
+
+@pytest.mark.parametrize("name", sorted(datasets.SPECS))
+def test_analogs_match_reference(name):
+    src, dst, spec = datasets.edge_arrays(name)
+    helpers.assert_same_csr(datasets.load(name),
+                            helpers.csr_reference(src, dst, spec.n))
 
 
 @pytest.mark.parametrize("src,dst,n", [
@@ -84,19 +101,13 @@ def test_in_edges_matches_in_neighbors(name):
     for nodes in (rng.permutation(g.n), rng.choice(g.n, 12), sinks[:1],
                   np.concatenate((sinks[:1], [g.n - 1, 0])),
                   np.array([], dtype=np.int64)):
-        src, dst = g.in_edges(nodes)
+        src, row = g.in_edges(nodes)
         nbrs = [g.in_neighbors(v) for v in nodes]
         np.testing.assert_array_equal(
             src, np.concatenate([np.zeros(0, np.int64), *nbrs]))
         np.testing.assert_array_equal(
-            dst, np.repeat(nodes, [a.size for a in nbrs]).astype(np.int64))
-        assert src.dtype == dst.dtype == np.int64
-
-
-def test_ragged_offsets():
-    np.testing.assert_array_equal(
-        _ragged_offsets(np.array([3, 1, 0, 2])), [0, 1, 2, 0, 0, 1])
-    np.testing.assert_array_equal(_ragged_offsets(np.array([0, 0])), [])
+            row, np.repeat(np.arange(nodes.size), [a.size for a in nbrs]))
+        assert src.dtype == row.dtype == np.int64
 
 
 def test_sum_by_rows_equal_per_column_sums():

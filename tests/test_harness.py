@@ -98,6 +98,15 @@ def test_run_setting_rejects_an_unknown_method():
             harness.run_setting(g, "simrank", s, q)
 
 
+@pytest.mark.parametrize("idx", [[5], [-1], [0, 7]])
+def test_sweep_rejects_settings_idx_outside_the_grid(idx):
+    """``[5]`` used to return a table with no columns and ``[-1]`` to run
+    the finest setting."""
+    with pytest.raises(ValueError, match=r"not in \[0, 5\)"):
+        harness.sweep("in2004_analog", methods=["simpush"],
+                      settings_idx=idx, n_queries=1)
+
+
 def test_memory_budget_exclusion():
     df = harness.sweep("in2004_analog", methods=["reads"],
                        settings_idx=[4], n_queries=1,

@@ -1,5 +1,6 @@
-"""The numpy layer runs without Spark: importing every baseline and the
-local SimPush engine must not import pyspark."""
+"""The numpy layer runs without Spark: importing every baseline, the
+local SimPush engine, the dataset suite and the sweep harness must not
+import pyspark."""
 import os
 import subprocess
 import sys
@@ -12,6 +13,8 @@ import repro.baselines
 for m in pkgutil.iter_modules(repro.baselines.__path__):
     importlib.import_module("repro.baselines." + m.name)
 import repro.core.simpush_local
+import repro.graphs.datasets
+import repro.eval.harness
 print(sorted(k for k in sys.modules if k.split(".")[0] == "pyspark"))
 """
 

@@ -17,8 +17,8 @@ def test_simpush_bytes_grow_with_L():
 
 def test_query_bytes_positive_and_ordered():
     g = helpers.graph("powerlaw")
-    assert memory.generic_query_bytes(g) > 0
-    assert memory.prsim_query_bytes(g, 8) > memory.generic_query_bytes(g)
+    assert memory.simpush_query_bytes(g, 0) > 0
+    assert memory.simpush_query_bytes(g, 8) > memory.simpush_query_bytes(g, 0)
 
 
 def test_memory_ordering_matches_paper():
@@ -30,9 +30,9 @@ def test_memory_ordering_matches_paper():
     reads_idx = reads.build_index(g, r=500, t=10, seed=0)
     simpush_peak = memory.peak_bytes(g, 0, memory.simpush_query_bytes(g, 10))
     sling_peak = memory.peak_bytes(g, sling_idx.index_bytes,
-                                   memory.generic_query_bytes(g))
+                                   memory.simpush_query_bytes(g, 0))
     reads_peak = memory.peak_bytes(g, reads_idx.index_bytes,
-                                   memory.generic_query_bytes(g))
+                                   memory.simpush_query_bytes(g, 0))
     assert sling_peak > simpush_peak
     assert reads_peak > simpush_peak
 

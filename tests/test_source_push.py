@@ -121,16 +121,18 @@ def test_pos_and_h_of_helpers():
 @pytest.mark.parametrize("name", sorted(helpers.GRAPHS))
 @pytest.mark.parametrize("u", [0, 3, 17])
 def test_gu_edges_are_level_rows(name, u):
-    """``gu.edges[l]`` holds level rows: read back as node ids they are
-    exactly level ``l``'s in-edges in ``CSRGraph.in_edges`` order."""
+    """``gu.edges[l]`` holds level rows in ``CSRGraph.in_edges`` order:
+    the parent rows are the rows ``in_edges(level_nodes[l])`` returns, and
+    the child rows read back as node ids are its in-neighbours."""
     g = helpers.graph(name)
     gu, _ = source_push(g, u, eps_h=0.005, L=8, sqrt_c=SQRT_C)
     assert len(gu.edges) == gu.L
     for lvl in range(gu.L):
-        children, parents = helpers.gu_edge_nodes(gu, lvl)
-        expect_c, expect_p = g.in_edges(gu.level_nodes[lvl])
-        np.testing.assert_array_equal(children, expect_c)
-        np.testing.assert_array_equal(parents, expect_p)
+        child_row, parent_row = gu.edges[lvl]
+        src, row = g.in_edges(gu.level_nodes[lvl])
+        np.testing.assert_array_equal(parent_row, row)
+        np.testing.assert_array_equal(gu.level_nodes[lvl + 1][child_row],
+                                      src)
 
 
 # --------------------------------------------------------------- DataFrame
