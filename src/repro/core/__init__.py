@@ -1,9 +1,10 @@
 """SimPush — the paper's contribution (Algorithms 1–5).
 
 One Alg.-1 driver, ``alg1.run_alg1``, owns the control flow: the push
-depth and its ``L*`` clamp, the trim to the deepest attention level before
-Alg. 3, Alg. 4's gammas and the hand-off of ``(A_u, gamma)`` to
-Reverse-Push. Two engines supply the other stages:
+depth (the mass bound, the push budget, the MC stage past it, ``L*``), the
+trim to the deepest attention level before Alg. 3, Alg. 4's gammas and the
+hand-off of ``(A_u, gamma)`` to Reverse-Push. Two engines supply the other
+stages:
 
 * ``simpush.py`` — the distributed engine: Monte-Carlo level detection,
   Source-Push, Alg.-3 hitting propagation and Reverse-Push expressed as

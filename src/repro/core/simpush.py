@@ -2,10 +2,11 @@
 "GraphX/DataFrame iterative push-based algorithm").
 
 Every O(m)-touching stage is an iterative Catalyst plan over the edge
-DataFrame ``edges_d = (src, dst, d_in_dst)``:
+DataFrame ``edges_d = (src, dst, d_in_dst, d_in_src)``:
 
 * ``detect_L_df``      — batched sqrt(c)-walkers advanced by seeded ``rand()``
-                         joins against an in-adjacency-array DataFrame;
+                         joins against an in-adjacency-array DataFrame,
+                         run only where the driver's push budget runs out;
 * ``source_push_df``   — Alg. 2's level-wise residue push along in-edges;
 * ``hitting_df``       — Alg. 3's per-level aggregation inside ``G_u``;
 * ``reverse_push_df``  — Alg. 5's thresholded push along out-edges.
@@ -20,9 +21,9 @@ column ``to``. The weight's ``d_I`` is always the in-degree of the edge's
   inside ``G_u``, note (ii) after Eq. 12);
 * Reverse-Push pushes ``src -> dst`` over ``edges_d``.
 
-``G_u`` is the edge table ``(src, dst, d_in_dst, clevel)``: the rows of
-``edges_d`` whose ``dst`` is in the level-``clevel - 1`` frontier, so
-``src`` is a level-``clevel`` child. Source-Push collects the attention
+``G_u`` is the edge table ``(src, dst, d_in_dst, d_in_src, clevel)``: the
+rows of ``edges_d`` whose ``dst`` is in the level-``clevel - 1`` frontier,
+so ``src`` is a level-``clevel`` child. Source-Push collects the attention
 entries once, into the driver's ``AttentionSet`` (``A_u`` in (level, node)
 order), and Algs. 3-5 index by it: Alg. 3's state rows are
 ``(node, t, val)``, keyed by the target's index ``t`` in ``A_u``, and
@@ -41,6 +42,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 import pandas as pd
@@ -50,7 +52,7 @@ from pyspark.sql import types as T
 
 from repro.core import alg1
 from repro.core.params import DEFAULT_WALKS_CAP, SimPushParams
-from repro.core.source_push import AttentionSet
+from repro.core.source_push import AttentionSet, Level
 
 
 @dataclass
@@ -60,7 +62,7 @@ class GraphFrames:
 
     edges: DataFrame       # (src, dst)
     in_deg: DataFrame      # (node, d_in)
-    edges_d: DataFrame     # (src, dst, d_in_dst) — edges + dst in-degree
+    edges_d: DataFrame     # (src, dst, d_in_dst, d_in_src) — + in-degrees
     in_adj: DataFrame      # (node, nbrs: array<long>, d_in) — for walks
 
     @classmethod
@@ -80,9 +82,13 @@ class GraphFrames:
                   .agg(F.collect_list("src").alias("nbrs"),
                        F.count("*").alias("d_in")).cache())
         in_deg = in_adj.select("node", "d_in")
-        edges_d = in_adj.select(F.explode("nbrs").alias("src"),
-                                F.col("node").alias("dst"),
-                                F.col("d_in").alias("d_in_dst")).cache()
+        edges_d = (in_adj.select(F.explode("nbrs").alias("src"),
+                                 F.col("node").alias("dst"),
+                                 F.col("d_in").alias("d_in_dst"))
+                   .join(in_deg.select(F.col("node").alias("src"),
+                                       F.col("d_in").alias("d_in_src")),
+                         "src", "left")
+                   .fillna(0, ["d_in_src"]).cache())
         return cls(edges=edges, in_deg=in_deg, edges_d=edges_d, in_adj=in_adj)
 
     def unpersist(self) -> None:
@@ -128,12 +134,12 @@ def _push(state: DataFrame, edges: DataFrame, frm: str, to: str,
     """One push level, shared by Source-Push, Alg. 3 and Reverse-Push:
     ``state`` rows ``(node, *keys, col)`` move along ``edges`` from column
     ``frm`` to column ``to`` and are summed per ``(to, *keys)``, each
-    scaled by ``sqrt(c) / d_in_dst``. Returns ``(node, *keys, col)``."""
+    scaled by ``sqrt(c) / d_in_dst``. Returns ``(node, *keys, col)``,
+    not yet computed; the caller checkpoints it."""
     return (state.join(edges, state["node"] == edges[frm])
             .groupBy(F.col(to).alias("node"), *keys)
             .agg(F.sum(F.lit(sqrt_c) * F.col(col) / F.col("d_in_dst"))
-                 .alias(col))
-            .localCheckpoint(eager=True))
+                 .alias(col)))
 
 
 def _union(parts: list[DataFrame], spark: SparkSession, schema: str
@@ -145,36 +151,47 @@ def _union(parts: list[DataFrame], spark: SparkSession, schema: str
 
 
 def source_push_df(spark: SparkSession, gf: GraphFrames, u: int,
-                   eps_h: float, L: int, sqrt_c: float
+                   eps_h: float, L: int, sqrt_c: float,
+                   go: Callable[[Level], bool] | None = None
                    ) -> tuple[DataFrame, AttentionSet]:
     """Alg. 2 lines 9–21. Returns ``(gu_edges, attention)``, as
-    ``source_push`` returns ``(G_u, A_u)``:
+    ``source_push`` returns ``(G_u, A_u)``, and stops where it stops (at
+    ``L``, at a dry frontier or at ``go``'s first False):
 
-    * ``gu_edges``  — DataFrame ``(src, dst, d_in_dst, clevel)``: the
-      ``G_u`` edges from level-``clevel`` children ``src`` to their
+    * ``gu_edges``  — DataFrame ``(src, dst, d_in_dst, d_in_src, clevel)``:
+      the ``G_u`` edges from level-``clevel`` children ``src`` to their
       level-``clevel - 1`` parents ``dst``;
     * ``attention`` — the entries with ``h >= eps_h`` at levels 1..L,
       collected in (level, node) order.
 
-    Each level is one Spark action, ``_push``'s checkpoint. A frontier can
-    run dry only under ``L_override`` (``detect_L_df`` returns a depth some
-    walker reached); the levels past it are empty and add no rows.
+    Each level is one Spark action, which checkpoints the level and sums
+    its ``h`` and its nodes' in-degrees for ``go``'s :class:`Level`.
     """
+    d_in = gf.in_deg.where(F.col("node") == int(u)).collect()
+    level = Level(1, 1.0, d_in[0]["d_in"] if d_in else 0)
     h = spark.createDataFrame(pd.DataFrame({"node": [int(u)], "h": [1.0]}))
     gu_parts: list[DataFrame] = []
     att_parts: list[DataFrame] = []
-    for lvl in range(1, L + 1):
+    while (go is None or go(level)) and len(gu_parts) < L and level.in_edges:
+        lvl = len(gu_parts) + 1
         gu_parts.append(
             gf.edges_d.join(h, gf.edges_d["dst"] == h["node"], "left_semi")
             .withColumn("clevel", F.lit(lvl)))
-        h = _push(h, gf.edges_d, "dst", "src", sqrt_c, "h")
+        # Each child's in-degree is a grouping key that splits no group.
+        h = _push(h, gf.edges_d, "dst", "src", sqrt_c, "h",
+                  keys=("d_in_src",)).localCheckpoint(eager=False)
+        nodes, mass, in_edges = h.agg(F.count("*"), F.sum("h"),
+                                      F.sum("d_in_src")).collect()[0]
+        level = Level(nodes, mass or 0.0, in_edges or 0)
+        h = h.select("node", "h")
         att_parts.append(h.where(F.col("h") >= eps_h)
                          .withColumn("level", F.lit(lvl)))
     # The union stacks one shuffle's worth of partitions per level;
     # coalesce before checkpointing so later per-level filters do not
     # schedule hundreds of near-empty tasks.
     gu_edges = (_union(gu_parts, spark,
-                       "src long, dst long, d_in_dst long, clevel int")
+                       "src long, dst long, d_in_dst long, d_in_src long, "
+                       "clevel int")
                 .coalesce(16).localCheckpoint(eager=True))
     att = _union(att_parts, spark, "node long, h double, level int"
                  ).toPandas().sort_values(["level", "node"])
@@ -208,7 +225,8 @@ def hitting_df(spark: SparkSession, gu_edges: DataFrame, att: AttentionSet,
     for lvl in range(L - 1, 0, -1):
         # Push up one level along G_u edges (children at lvl + 1 -> parents).
         cur = _push(state, gu_edges.where(F.col("clevel") == lvl + 1),
-                    "src", "dst", sqrt_c, "val", keys=("t",))
+                    "src", "dst", sqrt_c, "val", keys=("t",)
+                    ).localCheckpoint(eager=True)
         # Record h~ rows whose source is an attention entry at this level
         # (every pushed row targets a strictly deeper level).
         src_here = att.nodes[att.at_level(lvl)]
@@ -244,7 +262,8 @@ def reverse_push_df(spark: SparkSession, gf: GraphFrames, att: AttentionSet,
         res = seeds if res is None else (
             seeds.unionByName(res).groupBy("node").agg(F.sum("r").alias("r")))
         res = _push(res.where(F.lit(sqrt_c) * F.col("r") >= eps_h),
-                    gf.edges_d, "src", "dst", sqrt_c, "r")
+                    gf.edges_d, "src", "dst", sqrt_c, "r"
+                    ).localCheckpoint(eager=True)
     diag = spark.createDataFrame(pd.DataFrame({"node": [int(u)], "r": [1.0]}))
     s = diag if res is None else (
         res.where(F.col("node") != int(u)).unionByName(diag))
@@ -267,7 +286,9 @@ def simpush_df(spark: SparkSession, edges: DataFrame, u: int, *,
         return alg1.run_alg1(
             params, u, None, L_override,
             lambda: detect_L_df(spark, gf, u, params, seed=seed),
-            lambda L: source_push_df(spark, gf, u, params.eps_h, L, sc),
+            lambda L, go: source_push_df(spark, gf, u, params.eps_h, L, sc,
+                                         go),
+            lambda gu, L: gu,  # hitting_df reads levels 2..L only
             lambda gu, att, L: hitting_df(spark, gu, att, L, sc),
             lambda att, r: reverse_push_df(spark, gf, att, r, u,
                                            params.eps_h, sc),

@@ -18,14 +18,17 @@ from repro.graphs.csr import CSRGraph
 
 @dataclass
 class SimPushResult:
-    """Scores plus the per-query statistics the paper reports (L, |A_u|)
-    and per-stage wall times (Table 3's empirical counterpart)."""
+    """Scores plus the per-query statistics the paper reports (L, |A_u|),
+    the size of ``G_u`` at that ``L``, the path that chose ``L`` (``push``,
+    ``mc`` or ``override``, see ``core.alg1``) and per-stage wall times
+    (Table 3's empirical counterpart)."""
 
     scores: np.ndarray
     L: int
     n_attention: int
     gu_nodes: int
     gu_edges: int
+    path: str
     t_mc: float = 0.0
     t_source_push: float = 0.0
     t_gamma: float = 0.0
@@ -42,23 +45,24 @@ def simpush_local(g: CSRGraph, u: int, *, c: float = 0.6, eps: float = 0.1,
                   L_override: int | None = None) -> SimPushResult:
     """Answer a single-source SimRank query with SimPush (Alg. 1).
 
-    ``L_override`` skips the Monte-Carlo stage and forces the push depth —
-    used by tests to make the two engines exactly comparable and to check
-    Lemma-4 determinism at ``L = L*``.
+    ``L_override`` forces the push depth — used by tests to make the two
+    engines exactly comparable and to check Lemma-4 determinism at
+    ``L = L*``. ``seed`` seeds the Monte-Carlo stage, which runs only where
+    the driver's push budget runs out.
     """
     params = SimPushParams(c=c, eps=eps, delta=delta, walks_cap=walks_cap)
     sc = params.sqrt_c
     run = alg1.run_alg1(
         params, u, g.n, L_override,
         lambda: walks.detect_L(g, u, params, seed=seed)[0],
-        lambda L: source_push.source_push(g, u, params.eps_h, L, sc),
-        lambda gu, att, L: hitting.attention_hitting_matrix(
-            g, gu.upto(L), att, sc),
+        lambda L, go: source_push.source_push(g, u, params.eps_h, L, sc, go),
+        lambda gu, L: gu.upto(L),
+        lambda gu, att, L: hitting.attention_hitting_matrix(g, gu, att, sc),
         lambda att, r: reverse_push.reverse_push(g, att, r, u, params.eps_h,
                                                  sc))
-    gu = run.gu
-    return SimPushResult(scores=run.scores, L=gu.L, n_attention=run.att.size,
-                         gu_nodes=gu.n_nodes, gu_edges=gu.n_edges,
-                         t_mc=run.t_mc, t_source_push=run.t_source_push,
+    return SimPushResult(scores=run.scores, L=run.L, n_attention=run.att.size,
+                         gu_nodes=run.gu_nodes, gu_edges=run.gu_edges,
+                         path=run.path, t_mc=run.t_mc,
+                         t_source_push=run.t_source_push,
                          t_gamma=run.t_gamma,
                          t_reverse_push=run.t_reverse_push)

@@ -12,6 +12,7 @@ are kept as level rows, so Alg. 3 pushes along them with no id lookup.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -65,24 +66,48 @@ class AttentionSet:
         """Indices (into this set) of attention entries at ``level``."""
         return np.flatnonzero(self.levels == level)
 
+    def upto(self, L: int) -> "AttentionSet":
+        """The entries at levels ``0..L``, a prefix of this set."""
+        k = int(np.searchsorted(self.levels, L, side="right"))
+        return AttentionSet(levels=self.levels[:k], nodes=self.nodes[:k],
+                            h=self.h[:k])
 
-def source_push(g: CSRGraph, u: int, eps_h: float, L: int, sqrt_c: float
+
+@dataclass(frozen=True)
+class Level:
+    """The counts of one Source-Push level that Alg. 1's driver reads
+    before the level is pushed from (``source_push``'s ``go``)."""
+
+    nodes: int      # nodes with h > 0
+    mass: float     # the sum of their h
+    in_edges: int   # their in-edges: the G_u edges pushing from them adds
+
+
+def source_push(g: CSRGraph, u: int, eps_h: float, L: int, sqrt_c: float,
+                go: Callable[[Level], bool] | None = None
                 ) -> tuple[SourceGraph, AttentionSet]:
-    """Run Alg. 2's propagation for ``L`` levels from ``u``.
+    """Run Alg. 2's propagation from ``u`` for at most ``L`` levels.
 
     Exact (no sampling): each level is one application of the linear
     Source-Push operator, its weight formed per frontier node; O(m) a level.
+    ``go``, when given, is asked before each level is pushed from, the
+    deepest level too, with that level's :class:`Level`; pushing stops at
+    its first False. It also stops at level ``L`` and where the frontier has
+    no in-edge.
     """
     level_nodes = [np.array([u], dtype=np.int64)]
     h_levels = [np.array([1.0])]
     edges: list[tuple[np.ndarray, np.ndarray]] = []
-    for _ in range(L):
-        frontier = level_nodes[-1]
-        children, parent_row = g.in_edges(frontier)
-        if children.size == 0:
+    while True:
+        frontier, h = level_nodes[-1], h_levels[-1]
+        deg = g.in_deg[frontier]
+        level = Level(frontier.size, float(h.sum()), int(deg.sum()))
+        if ((go is not None and not go(level)) or len(edges) >= L
+                or not level.in_edges):
             break
+        children, parent_row = g.in_edges(frontier)
         # One Source-Push level; a sink's weight is never read.
-        w = sqrt_c * h_levels[-1] / np.maximum(g.in_deg[frontier], 1)
+        w = sqrt_c * h / np.maximum(deg, 1)
         h_next = sum_by(children, w[parent_row], g.n)
         nonzero = h_next != 0
         edges.append((np.cumsum(nonzero)[children] - 1, parent_row))

@@ -58,7 +58,7 @@ QUERY_TIME_BUDGET = 120.0
 
 #: SimPush's per-query statistics: ``L``, ``|A_u|``, ``G_u``, stage times.
 SIMPUSH_STATS = tuple(f.name for f in fields(SimPushResult)
-                      if f.name != "scores")
+                      if f.name not in ("scores", "path"))
 
 
 @dataclass
@@ -106,6 +106,13 @@ def _estimated_index_bytes(method: str, s, g: CSRGraph, c: float) -> int:
     return 0
 
 
+def _check_methods(methods: list[str]) -> None:
+    for m in methods:
+        if m not in SETTINGS:
+            raise ValueError(f"unknown method {m!r}; the methods are "
+                             + ", ".join(SETTINGS))
+
+
 def run_setting(g: CSRGraph, method: str, s, queries: np.ndarray, *,
                 walks_cap: int = 2_000_000) -> RunRecord:
     """Build (if index-based) and run every query; returns the record with
@@ -113,9 +120,7 @@ def run_setting(g: CSRGraph, method: str, s, queries: np.ndarray, *,
     The one clock: it times each index build and each query, and the sweep
     and the timing jobs in ``jobs/`` run through it. Query ``i`` is seeded
     ``i``; each index build takes its default seed."""
-    if method not in SETTINGS:
-        raise ValueError(f"unknown method {method!r}; the methods are "
-                         + ", ".join(SETTINGS))
+    _check_methods([method])
     rec = RunRecord(method=method, setting=_setting_str(method, s))
     index = None
     t0 = time.perf_counter()
@@ -178,9 +183,10 @@ def sweep(dataset: str, methods: list[str] | None = None, *,
           gt_samples: int = 100_000) -> pd.DataFrame:
     """Run the full tradeoff sweep on one dataset analog and return the
     tidy results table (one row per method x setting)."""
+    methods = methods or ALL_METHODS
+    _check_methods(methods)
     g = datasets.load(dataset)
     queries = datasets.query_nodes(dataset, n_queries)
-    methods = methods or ALL_METHODS
     size = min(len(SETTINGS[m]) for m in methods)
     if any(not 0 <= i < size for i in settings_idx or []):
         raise ValueError(f"settings_idx {settings_idx} not in [0, {size})")

@@ -20,14 +20,15 @@ paper). The primitives and their callers:
   ``sqrt(c) * h(v) / d_I(v)`` over in-edges / ``sqrt(c) * r(v') / d_I(v)``
   over out-edges: Reverse-Push (Alg. 5), ProbeSim's probes, PRSim's reverse
   vectors, TopSim.
-* ``level_visits`` — per-level visit counts of sqrt(c)-walks from one node:
-  MC level detection (``walks.detect_L``, Alg. 2 lines 1–8) and PRSim's
-  sampled ``h^(l)(u, .)``.
+* ``level_visits`` / ``level_max_visits`` — per-level visit counts of
+  sqrt(c)-walks from one node, or only each level's largest count: PRSim's
+  sampled ``h^(l)(u, .)`` / MC level detection (``walks.detect_L``, Alg. 2
+  lines 1–8). Both read one walk loop, ``_walk_levels``.
 * ``coupled_meetings`` — coupled walk pairs run until they meet: the MC
   ground truth (``pair_meeting_probability``) and PRSim's/SLING's ``eta``.
 * ``sqrt_c_walks`` — walks that keep every position: ProbeSim, READS and
   TSF's query (``sqrt_c = 1``: plain walks to a sink or ``max_steps``).
-  Kept apart from ``level_visits``: detect_L built
+  Kept apart from ``_walk_levels``: detect_L built
   on it ran 13–16 % slower.
 * ``random_in_neighbor`` — every walk's step, for nodes with an in-neighbour
   only: the walkers drop sinks first; TSF's index build masks its own.
@@ -36,10 +37,11 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
-_WALK_BATCH = 200_000  # walkers simulated at once by level_visits
+_WALK_BATCH = 200_000  # walkers simulated at once by _walk_levels
 
 
 @dataclass(frozen=True)
@@ -147,16 +149,13 @@ class CSRGraph:
             pos[idx, step] = cur[idx]
         return pos
 
-    def level_visits(self, u: int, n_walks: int, sqrt_c: float,
-                     max_steps: int, rng: np.random.Generator) -> np.ndarray:
-        """Visit counts of ``n_walks`` sqrt(c)-walks from ``u``: row ``l`` of
-        the ``(max_steps + 1, n)`` int64 result counts the walks at each
-        node after ``l`` steps (row 0 stays zero).
-
-        Only still-walking walkers are touched each step, so the expected
-        work is ~``n_walks * sqrt_c / (1 - sqrt_c)``; no positions are kept.
-        """
-        counts = np.zeros((max_steps + 1, self.n), dtype=np.int64)
+    def _walk_levels(self, u: int, n_walks: int, sqrt_c: float,
+                     max_steps: int, rng: np.random.Generator
+                     ) -> Iterator[tuple[int, np.ndarray]]:
+        """``(step, positions)`` of the still-walking sqrt(c)-walks from
+        ``u`` after each step, ``_WALK_BATCH`` walkers at a time. Only
+        still-walking walkers are touched each step, so the expected work is
+        ~``n_walks * sqrt_c / (1 - sqrt_c)``."""
         for done in range(0, n_walks, _WALK_BATCH):
             cur = np.full(min(_WALK_BATCH, n_walks - done), u, dtype=np.int64)
             for step in range(1, max_steps + 1):
@@ -165,8 +164,30 @@ class CSRGraph:
                 if cur.size == 0:
                     break
                 cur = self.random_in_neighbor(cur, rng)
-                counts[step] += np.bincount(cur, minlength=self.n)
+                yield step, cur
+
+    def level_visits(self, u: int, n_walks: int, sqrt_c: float,
+                     max_steps: int, rng: np.random.Generator) -> np.ndarray:
+        """Visit counts of ``n_walks`` sqrt(c)-walks from ``u``: row ``l`` of
+        the ``(max_steps + 1, n)`` int64 result counts the walks at each
+        node after ``l`` steps (row 0 stays zero)."""
+        counts = np.zeros((max_steps + 1, self.n), dtype=np.int64)
+        for step, cur in self._walk_levels(u, n_walks, sqrt_c, max_steps, rng):
+            counts[step] += np.bincount(cur, minlength=self.n)
         return counts
+
+    def level_max_visits(self, u: int, n_walks: int, sqrt_c: float,
+                         max_steps: int, rng: np.random.Generator
+                         ) -> np.ndarray:
+        """``level_visits(...).max(axis=1)`` from the same draws, without
+        its ``(max_steps + 1) x n`` matrix: each level's positions are kept
+        and counted by one bincount."""
+        dtype = np.int32 if self.n <= np.iinfo(np.int32).max else np.int64
+        seen: list[list[np.ndarray]] = [[] for _ in range(max_steps + 1)]
+        for step, cur in self._walk_levels(u, n_walks, sqrt_c, max_steps, rng):
+            seen[step].append(cur.astype(dtype))
+        return np.array([np.bincount(np.concatenate(p)).max() if p else 0
+                         for p in seen], dtype=np.int64)
 
     def coupled_meetings(self, cur1: np.ndarray, cur2: np.ndarray,
                          alive: np.ndarray, c: float, max_steps: int,

@@ -57,14 +57,15 @@ def _direct_means(dataset, eps, n_queries, **kw):
 
 def test_simpush_row_is_the_mean_of_direct_queries():
     """The sweep seeds query ``i`` with ``i`` and caps the walks at 2 M.
-    On pokec at eps = 0.05 both matter: seeding query ``i`` with ``i + 1``
-    or capping at 500 k moves the second or third query's L."""
+    The cap matters on twitter at eps = 0.05: its push budget lets all
+    three queries take the push path (L = 20), where a 500 k cap sends
+    them to the MC stage (L = 8-9). The seed reaches the MC stage only."""
     eps = harness.SETTINGS["simpush"][2]
-    row = harness.sweep("pokec_analog", methods=["simpush"],
+    row = harness.sweep("twitter_analog", methods=["simpush"],
                         settings_idx=[2], n_queries=3).iloc[0]
     assert row["setting"] == f"eps={eps}"
     assert [row["avg_L"], row["avg_attention"], row["avg_gu_edges"]] == \
-        _direct_means("pokec_analog", eps, 3, walks_cap=2_000_000)
+        _direct_means("twitter_analog", eps, 3, walks_cap=2_000_000)
 
 
 def test_index_methods_report_build(mini_sweep):
@@ -105,6 +106,21 @@ def test_sweep_rejects_settings_idx_outside_the_grid(idx):
     with pytest.raises(ValueError, match=r"not in \[0, 5\)"):
         harness.sweep("in2004_analog", methods=["simpush"],
                       settings_idx=idx, n_queries=1)
+
+
+def test_sweep_rejects_unknown_method_before_running(monkeypatch):
+    """A misspelt method used to die with a bare ``KeyError`` from the
+    settings table; now it is named, with the valid methods, before the
+    graph is loaded or any setting runs."""
+    def fail(*args, **kwargs):
+        raise AssertionError("ran before checking the methods")
+
+    monkeypatch.setattr(harness.datasets, "load", fail)
+    monkeypatch.setattr(harness, "run_setting", fail)
+    with pytest.raises(ValueError, match="'simpsh'; the methods are "
+                       + ", ".join(harness.SETTINGS)):
+        harness.sweep("in2004_analog", methods=["simpush", "simpsh"],
+                      n_queries=1)
 
 
 def test_memory_budget_exclusion():

@@ -6,7 +6,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.core import hitting, last_meeting, reverse_push, source_push
+from repro.core import (hitting, last_meeting, reverse_push, simpush,
+                        source_push, walks)
 from repro.core.params import SimPushParams
 from repro.core.simpush import GraphFrames, simpush_df
 from repro.core.simpush_local import simpush_local
@@ -104,11 +105,16 @@ def test_shared_parent_pair():
 
 
 def test_stage_timings_populated():
+    """The MC stage runs, and takes time, on the ``mc`` path only; this
+    query takes the push path by default and the ``mc`` path at a 50-walk
+    cap."""
     g = helpers.graph("social")
-    res = simpush_local(g, 5, eps=0.1, seed=0)
-    assert res.t_mc > 0 and res.t_source_push > 0
-    assert res.t_total >= res.t_mc
-    assert res.gu_nodes > 0 and res.gu_edges > 0
+    for walks_cap, path in ((None, "push"), (50, "mc")):
+        res = simpush_local(g, 5, eps=0.1, seed=0, walks_cap=walks_cap)
+        assert res.path == path
+        assert (res.t_mc > 0) == (path == "mc") and res.t_source_push > 0
+        assert res.t_total >= res.t_mc
+        assert res.gu_nodes > 0 and res.gu_edges > 0
 
 
 def test_attention_count_within_lemma2():
@@ -189,17 +195,17 @@ def test_trim_to_deepest_attention_level_is_exact():
 
 #: ``(u, L, |A_u|, G_u nodes, G_u edges)`` of seeded SimPush (seed 0, the
 #: default walk cap, eps = 0.025) on each analog's first five query nodes.
-#: The push depth ``L`` comes from the MC stage, so a change to the walk RNG
-#: stream moves these and must re-pin them on purpose.
+#: All ten take the push path: ``L`` is where the mass bound (in2004) or
+#: ``L*`` (pokec) stopped Source-Push, and no seed moves it.
 PINNED = {
-    "in2004_analog": [(227, 5, 56, 110, 111), (820, 6, 11, 12, 11),
+    "in2004_analog": [(227, 7, 56, 116, 117), (820, 6, 11, 12, 11),
                       (1097, 1, 1, 2, 1), (1060, 2, 3, 4, 3),
                       (432, 6, 17, 18, 18)],
-    "pokec_analog": [(417, 13, 94, 17928, 264122),
-                     (735, 13, 111, 19205, 284352),
-                     (446, 13, 82, 19204, 284367),
-                     (1432, 13, 57, 19199, 283146),
-                     (1424, 13, 95, 17971, 265479)],
+    "pokec_analog": [(417, 23, 94, 33928, 520952),
+                     (735, 23, 111, 35205, 541182),
+                     (446, 23, 82, 35204, 541197),
+                     (1432, 23, 57, 35199, 539976),
+                     (1424, 23, 95, 33971, 522309)],
 }
 
 
@@ -209,8 +215,92 @@ def test_seeded_statistics_pinned(name):
     got = []
     for u in datasets.query_nodes(name, 5):
         r = simpush_local(g, int(u), eps=0.025, seed=0)
+        assert r.path == "push"
         got.append((int(u), r.L, r.n_attention, r.gu_nodes, r.gu_edges))
     assert got == PINNED[name]
+
+
+def _push_path_matches_L_star(g, u, eps):
+    """Default arguments take the push path and answer exactly as
+    ``L_override=L*`` does, for any seed."""
+    p = SimPushParams(c=0.6, eps=eps, delta=1e-4)
+    res = simpush_local(g, u, eps=eps, seed=0)
+    ref = simpush_local(g, u, eps=eps, L_override=p.L_star)
+    assert (res.path, ref.path) == ("push", "override")
+    assert np.array_equal(res.scores, ref.scores)
+    assert np.array_equal(res.scores,
+                          simpush_local(g, u, eps=eps, seed=7).scores)
+
+
+@pytest.mark.parametrize("name", sorted(helpers.GRAPHS))
+def test_push_path_is_the_L_star_answer(name):
+    g = helpers.graph(name)
+    for eps in (0.2, 0.05):
+        for u in (0, 3, g.n - 1):
+            _push_path_matches_L_star(g, u, eps)
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_push_path_is_the_L_star_answer_on_analogs(name):
+    g = datasets.load(name)
+    for u in datasets.query_nodes(name, 5):
+        _push_path_matches_L_star(g, int(u), 0.025)
+
+
+#: Fixtures whose queries 3 and 50 outgrow the push budgets of these walk
+#: caps at eps = 0.1. The MC stage's ``L`` is deeper than the levels pushed
+#: at cap 200 and shallower at cap 3000, so both ways of reaching it run.
+FALLBACK_GRAPHS = ["social", "undirected", "erdos"]
+FALLBACK_CAPS = [200, 3000]
+
+
+@pytest.mark.parametrize("name", FALLBACK_GRAPHS)
+@pytest.mark.parametrize("walks_cap", FALLBACK_CAPS)
+def test_fallback_is_the_push_to_detected_L(name, walks_cap):
+    """A walk cap whose push budget ``G_u`` outgrows sends the query to the
+    MC stage: the answer, ``L`` and ``G_u`` are then exactly those of
+    pushing to ``walks.detect_L``'s depth."""
+    g = helpers.graph(name)
+    p = SimPushParams(c=0.6, eps=0.1, delta=1e-4, walks_cap=walks_cap)
+    for u in (3, 50):
+        res = simpush_local(g, u, eps=0.1, seed=1, walks_cap=walks_cap)
+        assert res.path == "mc"
+        L = walks.detect_L(g, u, p, seed=1)[0]
+        ref = simpush_local(g, u, eps=0.1, walks_cap=walks_cap, L_override=L)
+        assert np.array_equal(res.scores, ref.scores)
+        assert ((res.L, res.n_attention, res.gu_nodes, res.gu_edges)
+                == (ref.L, ref.n_attention, ref.gu_nodes, ref.gu_edges))
+
+
+@pytest.mark.parametrize("name", FALLBACK_GRAPHS)
+@pytest.mark.parametrize("walks_cap", FALLBACK_CAPS)
+def test_fallback_pushes_within_budget(monkeypatch, name, walks_cap):
+    """The edges Source-Push gathers before the MC stage runs stay within
+    ``n_walks * sqrt(c) / (1 - sqrt(c))``, and the next level would have
+    taken them past it."""
+    g = helpers.graph(name)
+    p = SimPushParams(c=0.6, eps=0.1, delta=1e-4, walks_cap=walks_cap)
+    budget = p.n_walks * p.sqrt_c / (1 - p.sqrt_c)
+    real_push, real_detect = source_push.source_push, walks.detect_L
+    pushed, seen = [], []  # each level's in-edges; (pushed, next) at MC
+
+    def push(g, u, eps_h, L, sqrt_c, go):
+        def counting(level):
+            pushed.append(level.in_edges)
+            return go(level)  # runs the MC stage when the budget runs out
+        return real_push(g, u, eps_h, L, sqrt_c, counting)
+
+    def detect(*args, **kwargs):
+        seen.append((sum(pushed[:-1]), pushed[-1]))
+        return real_detect(*args, **kwargs)
+
+    monkeypatch.setattr(source_push, "source_push", push)
+    monkeypatch.setattr(walks, "detect_L", detect)
+    for u in (3, 50):
+        pushed[:], seen[:] = [], []
+        assert simpush_local(g, u, eps=0.1, walks_cap=walks_cap).path == "mc"
+        (before, nxt), = seen
+        assert before <= budget < before + nxt
 
 
 # --------------------------------------------------------------- DataFrame
@@ -295,21 +385,43 @@ def test_df_engine_rejects_non_integer_edge_ids(spark):
             simpush_df(spark, edges, 0, eps=0.1, L_override=3)
 
 
-def test_df_engine_with_mc_detection(spark):
-    """Full DataFrame pipeline incl. the walker-DataFrame MC stage: the
-    result must satisfy the Theorem-1 bound vs the exact oracle."""
+def test_df_engine_with_mc_detection(spark, monkeypatch):
+    """Full DataFrame pipeline on the MC path, forced by a small walk cap:
+    the walker-DataFrame MC stage runs once and the result must satisfy
+    the Theorem-1 bound vs the exact oracle."""
     src, dst = generators.social(120, 4, seed=14)
     g = from_edges(src, dst, n=120)
     from repro.baselines.exact import exact_simrank
     s = exact_simrank(g)
     edges = generators.to_spark(spark, src, dst)
-    pdf = simpush_df(spark, edges, 7, eps=0.2, walks_cap=3000,
+    calls = []
+    real = simpush.detect_L_df
+    monkeypatch.setattr(simpush, "detect_L_df",
+                        lambda *a, **k: calls.append(1) or real(*a, **k))
+    pdf = simpush_df(spark, edges, 7, eps=0.2, walks_cap=100,
                      seed=0).toPandas()
+    assert calls == [1]
     dense = np.zeros(g.n)
     dense[pdf["v"].to_numpy()] = pdf["s"].to_numpy()
     diff = s[7] - dense
     assert diff.max() <= 0.2 + 1e-12
     assert diff.min() >= -1e-9
+
+
+@pytest.mark.parametrize("u,eps", [(4, 0.1), (40, 0.05)])
+def test_df_engine_matches_local_on_push_path(spark, monkeypatch, u, eps):
+    """With no ``L_override`` both engines take the push path, which runs
+    no walks, so their answers agree to 1e-9 as at a fixed depth."""
+    src, dst = generators.social(150, 4, seed=13)
+    g = from_edges(src, dst, n=150)
+    monkeypatch.setattr(simpush, "detect_L_df", None)  # must not run
+    local = simpush_local(g, u, eps=eps)
+    pdf = simpush_df(spark, generators.to_spark(spark, src, dst), u,
+                     eps=eps).toPandas()
+    assert local.path == "push"
+    dense = np.zeros(g.n)
+    dense[pdf["v"].to_numpy()] = pdf["s"].to_numpy()
+    np.testing.assert_allclose(dense, local.scores, atol=1e-9)
 
 
 def test_df_engine_no_attention(spark):

@@ -34,10 +34,12 @@ def test_L_bounded_by_L_star():
 
 def test_counts_match_exact_hitting():
     """Empirical visit frequencies converge to the exact hitting
-    probabilities (Hoeffding, generous tolerance)."""
+    probabilities (Hoeffding, generous tolerance). The counts are those of
+    ``detect_L(..., seed=0)``'s walks, whose maxima it keeps."""
     g = helpers.graph("social")
     p = _params(eps=0.2, cap=120_000)
-    _, counts = walks.detect_L(g, 5, p, seed=0)
+    counts = g.level_visits(5, p.n_walks, p.sqrt_c, p.L_star,
+                            np.random.default_rng(0))
     ref = helpers.hitting_bruteforce(g, 5, 3, p.sqrt_c)
     for lvl in (1, 2, 3):
         emp = counts[lvl] / p.n_walks
@@ -46,9 +48,25 @@ def test_counts_match_exact_hitting():
 
 def test_no_in_neighbors_gives_L0():
     g = helpers.graph("chain")
-    L, counts = walks.detect_L(g, 29, _params(), seed=0)
+    L, level_max = walks.detect_L(g, 29, _params(), seed=0)
     assert L == 0
-    assert counts[1:].sum() == 0
+    assert level_max.sum() == 0
+
+
+@pytest.mark.parametrize("name", ["social", "undirected", "star", "chain"])
+@pytest.mark.parametrize("cap", [20_000, 450_000])
+def test_level_max_is_the_max_of_level_visits(name, cap):
+    """``detect_L`` keeps each level's largest count of the walks that
+    ``level_visits`` counts, from the same draws; 450 k walks span three
+    walker batches."""
+    g = helpers.graph(name)
+    p = _params(eps=0.05, cap=cap)
+    for u, seed in ((0, 0), (g.n - 1, 3)):
+        _, level_max = walks.detect_L(g, u, p, seed=seed)
+        counts = g.level_visits(u, p.n_walks, p.sqrt_c, p.L_star,
+                                np.random.default_rng(seed))
+        assert level_max.dtype == counts.dtype
+        np.testing.assert_array_equal(level_max, counts.max(axis=1))
 
 
 def test_cycle_levels_detected_to_threshold_depth():
