@@ -18,8 +18,9 @@ The depth comes from one of three paths (``Alg1Run.path``):
   ``n_walks * sqrt(c) / (1 - sqrt(c))``, the expected steps of the MC
   stage's walks. The driver then runs Alg. 2's MC level detection (lines
   1–8), keeps the levels already pushed and pushes on only if that ``L`` is
-  deeper. The budget is a count, not a clock, so the path taken is fixed
-  by the graph, ``u`` and the parameters.
+  deeper: ``L`` is the deeper of the two. The budget is a count, not a
+  clock, so the path taken is fixed by the graph, ``u`` and the
+  parameters.
 * ``override`` — ``L_override``, clamped to ``L*``.
 
 The engines build their callables so that each stage is looked up through
@@ -126,16 +127,13 @@ def run_alg1(params: SimPushParams, u: int, n: int | None,
             if sum(lv.in_edges for lv in levels) > budget:
                 path = "mc"
                 t = time.perf_counter()
-                L = detect()
+                L = max(depth, detect())
                 t_mc = time.perf_counter() - t
         return depth < L
 
     t0 = time.perf_counter()
     gu, att = push(L, go)
     t1 = time.perf_counter()
-    # The mc path may have pushed below its L; those levels are dropped.
-    del levels[L + 1:]
-    att = att.upto(L)
     # No attention node lies below the deepest attention level, so Algs.
     # 3-5 read nothing of G_u beyond it (Definition 3, Lemma 2).
     L_att = int(att.levels.max(initial=0))

@@ -2,7 +2,7 @@
 "GraphX/DataFrame iterative push-based algorithm").
 
 Every O(m)-touching stage is an iterative Catalyst plan over the edge
-DataFrame ``edges_d = (src, dst, d_in_dst, d_in_src)``:
+DataFrame ``edges_d = (src, dst, d_in_dst)``:
 
 * ``detect_L_df``      — batched sqrt(c)-walkers advanced by seeded ``rand()``
                          joins against an in-adjacency-array DataFrame,
@@ -21,9 +21,9 @@ column ``to``. The weight's ``d_I`` is always the in-degree of the edge's
   inside ``G_u``, note (ii) after Eq. 12);
 * Reverse-Push pushes ``src -> dst`` over ``edges_d``.
 
-``G_u`` is the edge table ``(src, dst, d_in_dst, d_in_src, clevel)``: the
-rows of ``edges_d`` whose ``dst`` is in the level-``clevel - 1`` frontier,
-so ``src`` is a level-``clevel`` child. Source-Push collects the attention
+``G_u`` is the edge table ``(src, dst, d_in_dst, clevel)``: the rows of
+``edges_d`` whose ``dst`` is in the level-``clevel - 1`` frontier, so
+``src`` is a level-``clevel`` child. Source-Push collects the attention
 entries once, into the driver's ``AttentionSet`` (``A_u`` in (level, node)
 order), and Algs. 3-5 index by it: Alg. 3's state rows are
 ``(node, t, val)``, keyed by the target's index ``t`` in ``A_u``, and
@@ -62,7 +62,7 @@ class GraphFrames:
 
     edges: DataFrame       # (src, dst)
     in_deg: DataFrame      # (node, d_in)
-    edges_d: DataFrame     # (src, dst, d_in_dst, d_in_src) — + in-degrees
+    edges_d: DataFrame     # (src, dst, d_in_dst) — edges + dst in-degree
     in_adj: DataFrame      # (node, nbrs: array<long>, d_in) — for walks
 
     @classmethod
@@ -82,13 +82,9 @@ class GraphFrames:
                   .agg(F.collect_list("src").alias("nbrs"),
                        F.count("*").alias("d_in")).cache())
         in_deg = in_adj.select("node", "d_in")
-        edges_d = (in_adj.select(F.explode("nbrs").alias("src"),
-                                 F.col("node").alias("dst"),
-                                 F.col("d_in").alias("d_in_dst"))
-                   .join(in_deg.select(F.col("node").alias("src"),
-                                       F.col("d_in").alias("d_in_src")),
-                         "src", "left")
-                   .fillna(0, ["d_in_src"]).cache())
+        edges_d = in_adj.select(F.explode("nbrs").alias("src"),
+                                F.col("node").alias("dst"),
+                                F.col("d_in").alias("d_in_dst")).cache()
         return cls(edges=edges, in_deg=in_deg, edges_d=edges_d, in_adj=in_adj)
 
     def unpersist(self) -> None:
@@ -158,14 +154,15 @@ def source_push_df(spark: SparkSession, gf: GraphFrames, u: int,
     ``source_push`` returns ``(G_u, A_u)``, and stops where it stops (at
     ``L``, at a dry frontier or at ``go``'s first False):
 
-    * ``gu_edges``  — DataFrame ``(src, dst, d_in_dst, d_in_src, clevel)``:
-      the ``G_u`` edges from level-``clevel`` children ``src`` to their
+    * ``gu_edges``  — DataFrame ``(src, dst, d_in_dst, clevel)``: the
+      ``G_u`` edges from level-``clevel`` children ``src`` to their
       level-``clevel - 1`` parents ``dst``;
     * ``attention`` — the entries with ``h >= eps_h`` at levels 1..L,
       collected in (level, node) order.
 
     Each level is one Spark action, which checkpoints the level and sums
-    its ``h`` and its nodes' in-degrees for ``go``'s :class:`Level`.
+    its ``h`` and, joined with ``in_deg``, its nodes' in-degrees for
+    ``go``'s :class:`Level`.
     """
     d_in = gf.in_deg.where(F.col("node") == int(u)).collect()
     level = Level(1, 1.0, d_in[0]["d_in"] if d_in else 0)
@@ -177,21 +174,19 @@ def source_push_df(spark: SparkSession, gf: GraphFrames, u: int,
         gu_parts.append(
             gf.edges_d.join(h, gf.edges_d["dst"] == h["node"], "left_semi")
             .withColumn("clevel", F.lit(lvl)))
-        # Each child's in-degree is a grouping key that splits no group.
-        h = _push(h, gf.edges_d, "dst", "src", sqrt_c, "h",
-                  keys=("d_in_src",)).localCheckpoint(eager=False)
-        nodes, mass, in_edges = h.agg(F.count("*"), F.sum("h"),
-                                      F.sum("d_in_src")).collect()[0]
+        h = _push(h, gf.edges_d, "dst", "src", sqrt_c, "h"
+                  ).localCheckpoint(eager=False)
+        nodes, mass, in_edges = (h.join(gf.in_deg, "node", "left")
+                                 .agg(F.count("*"), F.sum("h"),
+                                      F.sum("d_in")).collect()[0])
         level = Level(nodes, mass or 0.0, in_edges or 0)
-        h = h.select("node", "h")
         att_parts.append(h.where(F.col("h") >= eps_h)
                          .withColumn("level", F.lit(lvl)))
     # The union stacks one shuffle's worth of partitions per level;
     # coalesce before checkpointing so later per-level filters do not
     # schedule hundreds of near-empty tasks.
     gu_edges = (_union(gu_parts, spark,
-                       "src long, dst long, d_in_dst long, d_in_src long, "
-                       "clevel int")
+                       "src long, dst long, d_in_dst long, clevel int")
                 .coalesce(16).localCheckpoint(eager=True))
     att = _union(att_parts, spark, "node long, h double, level int"
                  ).toPandas().sort_values(["level", "node"])

@@ -66,12 +66,6 @@ class AttentionSet:
         """Indices (into this set) of attention entries at ``level``."""
         return np.flatnonzero(self.levels == level)
 
-    def upto(self, L: int) -> "AttentionSet":
-        """The entries at levels ``0..L``, a prefix of this set."""
-        k = int(np.searchsorted(self.levels, L, side="right"))
-        return AttentionSet(levels=self.levels[:k], nodes=self.nodes[:k],
-                            h=self.h[:k])
-
 
 @dataclass(frozen=True)
 class Level:

@@ -137,7 +137,7 @@ def run_setting(g: CSRGraph, method: str, s, queries: np.ndarray, *,
         rec.index_bytes = index.index_bytes
 
     times, stats = [], []
-    levels = 0  # simpush_query_bytes' L: SimPush's max L, PRSim's Lmax
+    levels = 0  # simpush_query_bytes' L: SimPush's max depth, PRSim's Lmax
     for qi, u in enumerate(queries):
         u = int(u)
         t0 = time.perf_counter()

@@ -7,6 +7,12 @@ the method's per-query working set. What the figures establish — the
 *ordering* (SLING >> READS/TSF >> PRSim > ProbeSim ~ SimPush ~ input
 graph) and SimPush's insensitivity to eps — is preserved under this
 accounting and pinned by tests.
+
+SimPush's ``L`` here is the depth Source-Push reached, whose levels it
+holds until the driver trims ``G_u`` before Alg. 3. Since the push stops on
+the mass bound rather than at the MC stage's estimate, that depth is ``L*``
+on analogs with few sinks (pokec 13 -> 23 at eps = 0.025): the accounted
+working set grows with ``log(1/eps)`` through ``L*``, not with ``|A_u|``.
 """
 from __future__ import annotations
 

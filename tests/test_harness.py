@@ -45,27 +45,44 @@ def test_simpush_stats_reported(mini_sweep):
     assert other[["avg_gu_edges", "t_mc_ms"]].isna().all().all()
 
 
-def _direct_means(dataset, eps, n_queries, **kw):
+def _direct_means(dataset, eps, n_queries, path, first_seed=0, **kw):
     """Mean L, |A_u| and G_u edges of SimPush over the dataset's
-    ``n_queries`` query nodes, query ``i`` seeded ``i``."""
+    ``n_queries`` query nodes, query ``i`` seeded ``first_seed + i``; every
+    query must take ``path``."""
     g = datasets.load(dataset)
-    res = [simpush_local(g, int(u), eps=eps, seed=i, **kw)
+    res = [simpush_local(g, int(u), eps=eps, seed=first_seed + i, **kw)
            for i, u in enumerate(datasets.query_nodes(dataset, n_queries))]
+    assert {r.path for r in res} == {path}
     return [float(np.mean([getattr(r, k) for r in res]))
             for k in ("L", "n_attention", "gu_edges")]
 
 
 def test_simpush_row_is_the_mean_of_direct_queries():
-    """The sweep seeds query ``i`` with ``i`` and caps the walks at 2 M.
-    The cap matters on twitter at eps = 0.05: its push budget lets all
-    three queries take the push path (L = 20), where a 500 k cap sends
-    them to the MC stage (L = 8-9). The seed reaches the MC stage only."""
+    """The sweep caps the walks at 2 M. The cap matters on twitter at
+    eps = 0.05: its push budget lets all three queries take the push path
+    (L = 20), where a 500 k cap sends them to the MC stage (L = 8-9)."""
     eps = harness.SETTINGS["simpush"][2]
     row = harness.sweep("twitter_analog", methods=["simpush"],
                         settings_idx=[2], n_queries=3).iloc[0]
     assert row["setting"] == f"eps={eps}"
     assert [row["avg_L"], row["avg_attention"], row["avg_gu_edges"]] == \
-        _direct_means("twitter_analog", eps, 3, walks_cap=2_000_000)
+        _direct_means("twitter_analog", eps, 3, "push", walks_cap=2_000_000)
+
+
+def test_simpush_stats_follow_each_querys_seed():
+    """``run_setting`` seeds query ``i`` with ``i``. The seed reaches the
+    MC stage only; pokec at eps = 0.2 with a 3000-walk cap takes the MC
+    path, where seeds ``i`` and ``i + 1`` give different means."""
+    eps = harness.SETTINGS["simpush"][0]
+    g = datasets.load("pokec_analog")
+    rec = harness.run_setting(g, "simpush", eps,
+                              datasets.query_nodes("pokec_analog", 3),
+                              walks_cap=3000)
+    got = [rec.stats[k] for k in ("L", "n_attention", "gu_edges")]
+    assert got == _direct_means("pokec_analog", eps, 3, "mc",
+                                walks_cap=3000)
+    assert got != _direct_means("pokec_analog", eps, 3, "mc", first_seed=1,
+                                walks_cap=3000)
 
 
 def test_index_methods_report_build(mini_sweep):

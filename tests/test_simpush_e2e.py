@@ -249,24 +249,40 @@ def test_push_path_is_the_L_star_answer_on_analogs(name):
 
 #: Fixtures whose queries 3 and 50 outgrow the push budgets of these walk
 #: caps at eps = 0.1. The MC stage's ``L`` is deeper than the levels pushed
-#: at cap 200 and shallower at cap 3000, so both ways of reaching it run.
+#: at cap 200 and no deeper at cap 3000, so both ways of reaching ``L`` run.
 FALLBACK_GRAPHS = ["social", "undirected", "erdos"]
 FALLBACK_CAPS = [200, 3000]
+
+
+def _budget_depth(g, u, p):
+    """The level at which the push budget runs out: the first whose
+    in-edges take the running total past ``n_walks * sqrt(c) / (1 -
+    sqrt(c))``."""
+    budget = p.n_walks * p.sqrt_c / (1 - p.sqrt_c)
+    gu, _ = source_push.source_push(g, u, p.eps_h, p.L_star, p.sqrt_c)
+    total = np.cumsum([g.in_deg[nodes].sum() for nodes in gu.level_nodes])
+    assert total[-1] > budget
+    return int(np.argmax(total > budget))
 
 
 @pytest.mark.parametrize("name", FALLBACK_GRAPHS)
 @pytest.mark.parametrize("walks_cap", FALLBACK_CAPS)
 def test_fallback_is_the_push_to_detected_L(name, walks_cap):
     """A walk cap whose push budget ``G_u`` outgrows sends the query to the
-    MC stage: the answer, ``L`` and ``G_u`` are then exactly those of
-    pushing to ``walks.detect_L``'s depth."""
+    MC stage. The levels already pushed are kept, so the answer, ``L`` and
+    ``G_u`` are exactly those of pushing to the deeper of the budget's
+    level and ``walks.detect_L``'s depth; where the MC depth is the deeper,
+    that is the MC pipeline's answer, ``L_override=detect_L(...)``."""
     g = helpers.graph(name)
     p = SimPushParams(c=0.6, eps=0.1, delta=1e-4, walks_cap=walks_cap)
     for u in (3, 50):
         res = simpush_local(g, u, eps=0.1, seed=1, walks_cap=walks_cap)
         assert res.path == "mc"
-        L = walks.detect_L(g, u, p, seed=1)[0]
-        ref = simpush_local(g, u, eps=0.1, walks_cap=walks_cap, L_override=L)
+        depth, L_mc = _budget_depth(g, u, p), walks.detect_L(g, u, p,
+                                                              seed=1)[0]
+        assert (L_mc > depth) == (walks_cap == 200)
+        ref = simpush_local(g, u, eps=0.1, walks_cap=walks_cap,
+                            L_override=max(depth, L_mc))
         assert np.array_equal(res.scores, ref.scores)
         assert ((res.L, res.n_attention, res.gu_nodes, res.gu_edges)
                 == (ref.L, ref.n_attention, ref.gu_nodes, ref.gu_edges))
